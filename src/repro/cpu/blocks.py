@@ -30,10 +30,13 @@ their per-instruction closures, so BX targets, software-dispatch
 returns, and checkpoints restored mid-run enter the middle of a block
 correctly.
 
-The fused bodies are generated as Python source and ``exec``-compiled
-once per program; captured objects (register file, run context, memory
-accessors, flag setters) are bound through default arguments so the hot
-path uses local loads only.
+The fused bodies are generated as Python source and compiled through
+the process-wide code cache the trace tier shares
+(:func:`repro.cpu.traces.shared_code`), so every CPU running the same
+image and config reuses one code object; captured objects (register
+file, run context, memory accessors, flag setters, the per-instruction
+fallbacks) are bound through default arguments, per CPU, so the hot path
+uses local loads only.
 """
 
 from __future__ import annotations
@@ -337,8 +340,13 @@ def translate_blocks(
     for start, end in runs:
         env[f"_SINGLE_{start}"] = ops[start]
         parts.append(_emit_block(program, start, end, config))
-    source = "\n\n".join(parts)
-    exec(compile(source, f"<blocks pid={pid}>", "exec"), env)
+    # Deferred: the trace tier imports this module.
+    from .traces import shared_code
+
+    code = shared_code(
+        "\n\n".join(parts), lambda text: compile(text, "<blocks>", "exec")
+    )
+    exec(code, env)
     for start, _end in runs:
         ops[start] = env[f"_block_{start}"]  # type: ignore[assignment]
     return ops

@@ -116,7 +116,13 @@ class CPU:
       basic-block superinstructions (see :mod:`repro.cpu.blocks`);
     * ``"jit"`` — the block tier plus a trace compiler that turns hot
       paths into generated straight-line Python (see
-      :mod:`repro.cpu.traces`), the default and fastest tier.
+      :mod:`repro.cpu.traces`), the default.  ~1.8× ``block`` on hot
+      ALU loops, but within a few percent of it on the figure
+      workloads, whose host time goes to the CDP datapath and the CIS
+      fault path.  Benchmark ``wall_s`` on a 2-core Xeon VM: 0.99×
+      ``block`` past the knee, 0.96× before it, and 1.06× on
+      daemon-routed sweeps, where every slice re-heats its traces
+      (probe echo n=4 at 1 ms: 1.02-1.10×).
 
     All tiers are cycle- and trace-identical; the equivalence tests in
     ``tests/test_blocks.py`` hold them to that.

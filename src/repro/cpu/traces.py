@@ -28,7 +28,7 @@ observable state — ``ctx.idx`` on the next instruction, ``ctx.retired``
 flushed, modified registers spilled — before returning the exact cycles
 consumed.  From that point the proven block/closure machinery continues
 the burst, so a trace can exit *anywhere* (budget shortfall, branch
-leaving the path, dispatch-generation change, interrupted CDP, memory
+leaving the path, CDP mapping-guard miss, interrupted CDP, memory
 fault) without perturbing cycle counts, burst boundaries, counters or
 checkpoints.  Bulk-committing a fused segment is identical to stepping
 it because every per-instruction cost is positive: remaining budget
@@ -43,22 +43,32 @@ plan is active (a :class:`~repro.cpu.exceptions.FabricFault` raised
 mid-trace would discard committed cycles) and the recorder's
 side-effect-free TLB peek resolves it in hardware; the generated code
 then replays the memoized warm path of :mod:`repro.cpu.translate` —
-TLB statistics, ``dispatch_resolved`` event and all — behind a
-dispatch-generation guard.  Everything else (SWI, HALT, BX,
-software/faulting CDPs, translation-time raisers) ends the trace at the
-preceding instruction.
+TLB statistics, ``dispatch_resolved`` event and all — behind a mapping
+guard.  Everything else (SWI, HALT, BX, software/faulting CDPs,
+translation-time raisers) ends the trace at the preceding instruction.
 
-**Invalidation.**  Compiled traces are cached per manager keyed by
-``(entry index, dispatch generation)`` — the generation component only
-for traces containing a CDP, since nothing else reads the mapping state.
-When a management call (map/unmap/flush/restore) bumps
-:attr:`~repro.core.dispatch.DispatchUnit.generation`, the embedded guard
-fires on the next execution, evicts the stale trace and re-installs the
-profiling wrapper; if the path re-heats it recompiles against the new
-mappings (ROADMAP: "cache by (program, entry, TLB generation)").
+**Invalidation.**  Generated code depends only on the program image,
+the trace entry and the config, never on mapping state, so it is
+shared: one process-wide code cache keyed on the source text
+(:func:`shared_code`, also used by the block tier) serves every CPU
+running the same image, and each manager merely binds the shared code
+object to its own environment.  The mapping is checked where it is
+read, as the paper's dispatch TLB does (§4.2): each traced CDP matches
+its ``(PID, CID)`` tuple in the hardware TLB's CAM and reads the PFU
+from the TLB's RAM at run time, so a circuit evicted and reloaded into
+another PFU keeps its trace.  A CAM miss side-exits at the CDP into the
+block-tier closure, which resolves it for real (faulting to the CIS if
+unmapped).  Only when the tuple now resolves in the *software* TLB — the
+CIS chose the software alternative — does the trace evict itself and
+re-profile, since its path would otherwise side-exit at that CDP on
+every iteration; a re-heat records a path that stops before it.
 """
 
 from __future__ import annotations
+
+import threading
+from types import CodeType
+from typing import Callable
 
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
@@ -75,12 +85,22 @@ from .isa import CODE_BASE, Cond, Flags, Instruction, Op
 from .memory import Memory
 from .translate import OpClosure, RunContext, _SHIFTERS
 
-__all__ = ["translate_traces", "TraceManager", "HOT_THRESHOLD"]
+__all__ = [
+    "translate_traces",
+    "TraceManager",
+    "HOT_THRESHOLD",
+    "shared_code",
+]
 
 #: Block-leader entries before a trace is recorded.  Low enough that the
 #: short loops in the equivalence suite compile mid-run; recording a
 #: trace that never re-heats costs one ``compile()`` of a small string.
 HOT_THRESHOLD = 4
+
+#: Entries kept in the process-wide code cache (:func:`shared_code`)
+#: before the oldest is evicted.  A sweep needs a few dozen: one block
+#: module per program image and config, plus its distinct traces.
+CODE_CACHE_ENTRIES = 256
 
 #: Upper bound on instructions consumed by one trace (runaway guard).
 MAX_TRACE_INSTRUCTIONS = 512
@@ -111,7 +131,9 @@ _COND_EXPR = {
 _TRACE_ENV_NAMES = dict(
     _ENV_NAMES,
     _fl="_FL",
-    _dsp="_DSP",
+    _pid="_PID",
+    _cm="_CM",
+    _swm="_SWM",
     _hwt="_HWT",
     _dtr="_DTR",
     _exec="_EXEC",
@@ -123,6 +145,34 @@ _TRACE_ENV_NAMES = dict(
     _fb="_FB",
     _ivd="_IVD",
 )
+
+
+#: Generated source text -> compiled code, in insertion (FIFO) order.
+_CODE_CACHE: dict[str, CodeType] = {}
+#: Serialises insert-and-evict: an inline scheduler thread may build
+#: CPUs alongside the main thread.
+_CODE_CACHE_LOCK = threading.Lock()
+
+
+def shared_code(
+    source: str, compile_source: Callable[[str], CodeType]
+) -> CodeType:
+    """The code object for generated ``source``, compiled on a miss only.
+
+    Both code-generating tiers bind every per-CPU object (registers,
+    memory accessors, coprocessor, PID, fallback closures) through the
+    ``exec`` environment, so equal source text means interchangeable
+    code: every CPU, instance and resumed slice in the process running
+    the same image shares one code object.
+    """
+    code = _CODE_CACHE.get(source)
+    if code is None:
+        code = compile_source(source)
+        with _CODE_CACHE_LOCK:
+            if len(_CODE_CACHE) >= CODE_CACHE_ENTRIES:
+                del _CODE_CACHE[next(iter(_CODE_CACHE))]
+            _CODE_CACHE[source] = code
+    return code
 
 
 class OpList(list):
@@ -186,14 +236,10 @@ class TraceManager:
         #: Ops as compiled by the block tier — the fallback every trace
         #: side-exits into, and what a dead entry unwraps back to.
         self._base: list[OpClosure] = list(ops)
-        #: Compiled traces keyed (entry, generation | None); traces
-        #: without a CDP never read mapping state, so their key ignores
-        #: the generation and survives remaps.
-        self._cache: dict[tuple[int, int | None], OpClosure] = {}
-        #: Entries whose path is not worth compiling (no profiler).
-        self._dead: set[int] = set()
-        #: Lifetime counters (asserted by the eviction tests).
-        self.compiled = 0
+        #: Lifetime counters (asserted by the eviction tests): traces
+        #: installed (compiled or bound from the shared code cache) and
+        #: traces evicted by a software remap.
+        self.installs = 0
         self.invalidations = 0
         self._env: dict[str, object] = {
             "__builtins__": {},
@@ -212,7 +258,9 @@ class TraceManager:
             "_ASR": _SHIFTERS[Op.ASR],
             "_ROR": _SHIFTERS[Op.ROR],
             "_FL": flags,
-            "_DSP": self.dispatch,
+            "_PID": pid,
+            "_CM": self.dispatch.hardware_tlb.cam.match,
+            "_SWM": self.dispatch.software_tlb.cam.match,
             "_HWT": self.dispatch.hardware_tlb,
             "_DTR": self.dispatch.trace,
             "_EXEC": coprocessor.execute,
@@ -246,22 +294,26 @@ class TraceManager:
         # A trace that covers no more than one fused stretch buys
         # nothing over the block tier: unwrap and stop profiling.
         if not cyclic and len(components) < 2:
-            self._dead.add(entry)
             self.ops[entry] = inner
             return inner
-        has_cdp = any(kind == "cdp" for kind, *_ in components)
-        key = (entry, self.dispatch.generation if has_cdp else None)
-        fn = self._cache.get(key)
-        if fn is None:
-            fn = self._compile(entry, components, continuation, cyclic)
-            self._cache[key] = fn
-            self.compiled += 1
+        source = self._source(entry, components, continuation, cyclic)
+        code = shared_code(source, lambda text: self._compile(entry, text))
+        env = dict(self._env)
+        env["_FB"] = self._base[entry]
+        env["_IVD"] = lambda: self._invalidate(entry)
+        exec(code, env)
+        fn = env[f"_trace_{entry}"]
+        self.installs += 1
         self.ops[entry] = fn
-        return fn
+        return fn  # type: ignore[return-value]
+
+    def _compile(self, entry: int, source: str) -> CodeType:
+        """Code-cache miss: compile one trace's generated source."""
+        return compile(source, f"<trace entry={entry}>", "exec")
 
     def _invalidate(self, entry: int) -> None:
-        """Generation-guard eviction: drop the installed trace and start
-        re-profiling (a re-heat recompiles against the new mappings)."""
+        """Software-remap eviction: drop the installed trace and start
+        re-profiling (a re-heat records a path ending before the CDP)."""
         self.invalidations += 1
         self.ops[entry] = self._profile(entry)
 
@@ -272,10 +324,9 @@ class TraceManager:
         Returns ``(components, continuation, cyclic)`` where components
         are ``("run", start, end)`` fused stretches, ``("branch", index,
         taken, target)`` decisions, ``("simple", index)`` coprocessor
-        transfers and ``("cdp", index, pfu)`` hardware custom
-        instructions.  The walk is state-independent apart from the TLB
-        peek, so a recorded trace is a pure function of (program, entry,
-        dispatch generation).
+        transfers and ``("cdp", index)`` hardware custom instructions.
+        The walk is state-independent apart from the TLB peek, which only
+        decides where the path ends: the PFU is read at run time.
         """
         program = self.program
         length = len(program)
@@ -322,32 +373,33 @@ class TraceManager:
                 components.append(("simple", idx))
                 idx += 1
             elif op is Op.CDP and self.config.fault_plan is None:
-                pfu = self._peek_hardware(instruction.imm)
-                if pfu is None:
+                if not self._in_hardware(instruction.imm):
                     break  # software, faulting or unmapped: untraceable
                 visited.add(idx)
                 count += 1
-                components.append(("cdp", idx, pfu))
+                components.append(("cdp", idx))
                 idx += 1
             else:
                 break
         return components, idx, False
 
-    def _peek_hardware(self, cid: int) -> int | None:
+    def _in_hardware(self, cid: int) -> bool:
         """Side-effect-free hardware-TLB probe (``CAM.match`` is a pure
         dict lookup; ``DispatchTLB.lookup`` would bump statistics)."""
-        tlb = self.dispatch.hardware_tlb
-        slot = tlb.cam.match(IDTuple(self.pid, cid))
-        return None if slot is None else tlb.ram[slot]
+        cam = self.dispatch.hardware_tlb.cam
+        return cam.match(IDTuple(self.pid, cid)) is not None
 
     # ---- code generation ---------------------------------------------------
-    def _compile(
+    def _source(
         self,
         entry: int,
         components: list[tuple],
         continuation: int,
         cyclic: bool,
-    ) -> OpClosure:
+    ) -> str:
+        """The generated source of the trace recorded from ``entry``: a
+        pure function of (program, entry, config) plus the recorded
+        path, with no per-CPU value in it."""
         program = self.program
         config = self.config
         referenced, written = _register_sets(program, components)
@@ -449,36 +501,40 @@ class TraceManager:
                 body.append("_n += 1")
                 body.append(f"_u += {cost}")
             else:  # cdp
-                _, index, pfu = component
+                _, index = component
                 instruction = program[index]
-                needs.update(("_dsp", "_hwt", "_dtr", "_exec", "_max",
-                              "_ivd"))
+                cid = instruction.imm
+                needs.update(("_pid", "_cm", "_swm", "_hwt", "_dtr",
+                              "_exec", "_max", "_ivd"))
                 issue = config.cdp_issue_cycles
+                leave = [*spill, flush, "return _u"]
                 body.append(f"_ctx.idx = {index}")
                 body.append("if _u >= _b:")
-                body += [
-                    "    " + line for line in [*spill, flush, "return _u"]
-                ]
-                # Mapping-state guard: any management call since the
-                # recording bumped the generation, so this trace's
-                # resolution (and its arithmetic TLB replay) is stale.
-                body.append(
-                    f"if _dsp.generation != {self.dispatch.generation}:"
-                )
-                body += [
-                    "    " + line
-                    for line in [*spill, flush, "_ivd()", "return _u"]
-                ]
+                body += ["    " + line for line in leave]
+                # Mapping guard: the (PID, CID) tuple must still match in
+                # the hardware TLB's CAM.  On a miss the closure at this
+                # index resolves it for real; a software resolution means
+                # the CIS chose the software path, so evict this trace.
+                body.append(f"_s = _cm((_pid, {cid}))")
+                body.append("if _s is None:")
+                body.append(f"    if _swm((_pid, {cid})) is not None:")
+                body.append("        _ivd()")
+                if position == 0:
+                    # As at the entry guard: with nothing committed,
+                    # delegate rather than re-dispatch this trace.
+                    needs.add("_fb")
+                    body.append("    if _u:")
+                    body += ["        " + line for line in leave]
+                    body.append("    return _fb(_b)")
+                else:
+                    body += ["    " + line for line in leave]
                 # The memoized warm path of translate.py, unrolled:
                 # hardware probe hit, counters replayed arithmetically.
                 body.append("_hwt.lookups += 1")
                 body.append("_hwt.hits += 1")
+                body.append(f"_dtr.dispatch_resolved(_pid, {cid}, 'hit')")
                 body.append(
-                    f"_dtr.dispatch_resolved({self.pid}, "
-                    f"{instruction.imm}, 'hit')"
-                )
-                body.append(
-                    f"_o = _exec({pfu}, {instruction.rd}, "
+                    f"_o = _exec(_hwt.ram[_s], {instruction.rd}, "
                     f"{instruction.rn}, {instruction.rm}, "
                     f"_max(1, _b - _u - {issue}))"
                 )
@@ -512,17 +568,7 @@ class TraceManager:
             out += ["        " + line for line in body]
         else:
             out += ["    " + line for line in body]
-        env = dict(self._env)
-        env["_FB"] = self._base[entry]
-        env["_IVD"] = lambda _entry=entry: self._invalidate(_entry)
-        exec(
-            compile(
-                "\n".join(out), f"<trace pid={self.pid} entry={entry}>",
-                "exec",
-            ),
-            env,
-        )
-        return env[name]  # type: ignore[return-value]
+        return "\n".join(out)
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """The compiled execution tiers: partitioning, four-way tier
-equivalence, memoized CDP dispatch invalidation, trace compilation and
-eviction, and cross-tier checkpoints.
+equivalence, memoized CDP dispatch invalidation, trace compilation,
+mapping guards and the shared code cache, and cross-tier checkpoints.
 
 The contract under test is strong: ``jit``, ``block``, ``closure`` and
 ``step`` are *bit-identical* — same cycles, same retired counts, same
@@ -19,6 +19,7 @@ from repro.config import EXEC_TIERS, MachineConfig
 from repro.core.coprocessor import ProteusCoprocessor
 from repro.core.tlb import IDTuple
 from repro.cpu.assembler import assemble
+from repro.cpu import traces
 from repro.cpu.blocks import block_leaders, fusible_runs
 from repro.cpu.core import CPU, CPUState
 from repro.cpu.isa import CODE_BASE, Instruction, Op, code_address
@@ -26,7 +27,11 @@ from repro.cpu.memory import Memory
 from repro.errors import MemoryFault
 from repro.faults import FaultPlan
 from repro.machine import Machine
-from repro.sim.experiment import ExperimentSpec, run_experiment
+from repro.sim.experiment import (
+    ExperimentSpec,
+    outcome_to_dict,
+    run_experiment,
+)
 
 CONFIG = MachineConfig(cycles_per_ms=1000)
 SCALE = 1 / 8000
@@ -508,7 +513,25 @@ class TestCrossTierSnapshots:
 
 
 # ---------------------------------------------------------------------------
-# trace compilation and generation-counter eviction (jit tier)
+# trace compilation, mapping guards and the shared code cache (jit tier)
+
+
+@pytest.fixture
+def cold_code_cache(monkeypatch):
+    """An empty process-wide code cache for the test; every entry it
+    gains is one distinct compile."""
+    cache: dict = {}
+    monkeypatch.setattr(traces, "_CODE_CACHE", cache)
+    return cache
+
+
+def generated_ops(ops, prefix: str) -> dict:
+    """Index -> installed generated function whose name has ``prefix``."""
+    return {
+        index: op
+        for index, op in enumerate(ops)
+        if getattr(op, "__name__", "").startswith(prefix)
+    }
 
 
 REMAP_LOOP = """
@@ -547,7 +570,7 @@ class TestTraceCompiler:
         cpu = make_cpu(FIBONACCI, "jit")
         burst_log(cpu, [1 << 20])
         manager = cpu._ops.manager
-        assert manager.compiled >= 1
+        assert manager.installs >= 1
         assert manager.invalidations == 0
         assert tier_state(cpu) == tier_state(reference)
 
@@ -556,14 +579,14 @@ class TestTraceCompiler:
         stays on the block tier (no trace, no profiling residue)."""
         cpu = make_cpu(MIXED, "jit")
         burst_log(cpu, [1 << 20])
-        assert cpu._ops.manager.compiled == 0
+        assert cpu._ops.manager.installs == 0
 
     def test_remap_evicts_hot_trace(self):
-        """A hardware->software remap mid-run bumps the dispatch
-        generation; the hot CDP trace's embedded guard must evict the
-        stale trace (which memoized the *hardware* resolution) instead
-        of replaying 7 + 5 where 7 * 5 is now expected.  All four tiers
-        agree on the final state either way."""
+        """A hardware->software remap mid-run makes the hot CDP trace's
+        mapping guard miss; since the tuple now resolves in the software
+        TLB the trace must evict itself instead of side-exiting forever
+        (and must never replay 7 + 5 where 7 * 5 is now expected).  All
+        four tiers agree on the final state either way."""
         soft_address = assemble(REMAP_LOOP).label_address("soft")
         states = {}
         managers = {}
@@ -575,7 +598,7 @@ class TestTraceCompiler:
             assert not cpu.state.halted
             if tier == "jit":
                 managers[tier] = cpu._ops.manager
-                assert managers[tier].compiled >= 1
+                assert managers[tier].installs >= 1
                 assert managers[tier].invalidations == 0
             cpu.coprocessor.dispatch.map_software(IDTuple(1, 1),
                                                   soft_address)
@@ -592,6 +615,71 @@ class TestTraceCompiler:
         assert hw >= 4 and soft >= 1 and hw + soft == 12
         assert states["step"]["regs"][5] == 12 * hw + 35 * soft
 
+    def test_circuit_reloaded_into_another_pfu_keeps_trace(
+        self, cold_code_cache
+    ):
+        """Evicting the adder makes the trace's mapping guard miss (the
+        CDP faults through the block-tier closure); reloading it into a
+        different PFU makes the guard hit again.  The installed trace
+        survives both, reads the new PFU at run time, never recompiles,
+        and matches the ``step`` reference exactly."""
+        results = {}
+        for tier in EXEC_TIERS:
+            cpu = make_cpu(REMAP_LOOP, tier, with_circuit=True)
+            log = burst_log(cpu, [100])
+            if tier == "jit":
+                jit_ops = cpu._ops
+                hot = generated_ops(jit_ops, "_trace_")
+                assert jit_ops.manager.installs >= 1 and hot
+                compiles = len(cold_code_cache)
+            instance, _ = cpu.coprocessor.unload_circuit(0)
+            log += burst_log(cpu, [1 << 20])
+            assert log[-1][2] == "CustomInstructionFault"
+            cpu.coprocessor.load_circuit(1, instance)
+            cpu.coprocessor.dispatch.map_hardware(IDTuple(1, 1), 1)
+            while not cpu.state.halted:
+                log += burst_log(cpu, [1 << 20])
+            results[tier] = (log, tier_state(cpu))
+        assert generated_ops(jit_ops, "_trace_") == hot
+        assert jit_ops.manager.invalidations == 0
+        assert len(cold_code_cache) == compiles
+        for tier in COMPILED_TIERS:
+            assert results[tier] == results["step"], tier
+        assert results["step"][1]["dispatch_counts"]["hit"] == 12
+
+    def test_code_cache_evicts_oldest_at_bound(self, monkeypatch,
+                                               cold_code_cache):
+        monkeypatch.setattr(traces, "CODE_CACHE_ENTRIES", 2)
+        compiled = []
+
+        def compile_source(text):
+            compiled.append(text)
+            return compile(text, "<test>", "exec")
+
+        for text in ("a = 1", "b = 2", "a = 1", "c = 3", "a = 1"):
+            traces.shared_code(text, compile_source)
+        assert compiled == ["a = 1", "b = 2", "c = 3", "a = 1"]
+        assert list(cold_code_cache) == ["c = 3", "a = 1"]
+
+    def test_two_pids_share_generated_code(self, cold_code_cache):
+        """The PID is an environment binding, not part of the source:
+        two processes running one image bind the same code objects for
+        their traces and fused blocks, and each still dispatches under
+        its own (PID, CID) tuple."""
+        for tier, prefix in (("jit", "_trace_"), ("block", "_block_")):
+            cpus = [
+                make_cpu(CDP_LOOP, tier, with_circuit=True, pid=pid)
+                for pid in (1, 2)
+            ]
+            for cpu in cpus:
+                burst_log(cpu, [1 << 20])
+                assert tier_state(cpu)["dispatch_counts"]["hit"] == 8
+            first, second = (generated_ops(cpu._ops, prefix) for cpu in cpus)
+            assert first and first.keys() == second.keys(), tier
+            for index, fn in first.items():
+                assert fn is not second[index]
+                assert fn.__code__ is second[index].__code__, tier
+
 
 # ---------------------------------------------------------------------------
 # machine-level equivalence and cross-tier checkpoints
@@ -601,6 +689,11 @@ def tier_spec(workload: str, **kwargs) -> ExperimentSpec:
     defaults = dict(instances=2, quantum_ms=5.0, scale=SCALE)
     defaults.update(kwargs)
     return ExperimentSpec(workload=workload, **defaults)
+
+
+def outcome_bytes(spec: ExperimentSpec) -> bytes:
+    return json.dumps(outcome_to_dict(run_experiment(spec, verify=True)),
+                      sort_keys=True).encode()
 
 
 def outcome_fields(outcome) -> tuple:
@@ -666,6 +759,35 @@ class TestMachineTierEquivalence:
         # ... and every tier reproduced it event-for-event.
         for tier in COMPILED_TIERS:
             assert results[tier] == results["step"], tier
+
+    def test_post_knee_point_compiles_no_storm(self, monkeypatch,
+                                               cold_code_cache):
+        """twofish x5 at 1 ms swaps a circuit nearly every quantum.  The
+        jit must match ``step`` byte for byte, and doubling the run must
+        not add a single compile: traces key on their source, never on
+        mapping state, so every reload reuses the code already built."""
+        compiles = []
+        for items in (32, 64):
+            spec = tier_spec("twofish", instances=5, quantum_ms=1.0,
+                             items=items)
+            monkeypatch.setenv("REPRO_EXEC_TIER", "step")
+            reference = outcome_bytes(spec)
+            cold_code_cache.clear()
+            monkeypatch.setenv("REPRO_EXEC_TIER", "jit")
+            assert outcome_bytes(spec) == reference, items
+            compiles.append(len(cold_code_cache))
+        assert compiles[0] == compiles[1] < 20
+
+    @pytest.mark.parametrize("tier", ["block", "jit"])
+    def test_warm_code_cache_matches_cold(self, tier, monkeypatch,
+                                          cold_code_cache):
+        monkeypatch.setenv("REPRO_EXEC_TIER", tier)
+        spec = tier_spec("echo", instances=3, quantum_ms=1.0)
+        cold = outcome_bytes(spec)
+        compiles = len(cold_code_cache)
+        assert compiles >= 1
+        assert outcome_bytes(spec) == cold
+        assert len(cold_code_cache) == compiles
 
     def test_spec_key_ignores_exec_tier(self, monkeypatch):
         keys = set()

@@ -49,12 +49,40 @@ def serve_env(tmp_path: Path) -> dict:
 
 
 def start_serve(tmp_path: Path, sock: Path, *extra: str) -> subprocess.Popen:
+    """A ``repro serve`` subprocess leading its own process group, so
+    its pool workers can be reaped with ``killpg`` even after the daemon
+    itself was SIGKILLed (which orphans them)."""
     return subprocess.Popen(
         [sys.executable, "-m", "repro", "serve", "--workers", "2",
          "--slice-quanta", "64", "--socket", str(sock), *extra],
         stderr=subprocess.PIPE,
         env=serve_env(tmp_path),
+        start_new_session=True,
     )
+
+
+def live_group_members(pgid: int) -> list[int]:
+    """PIDs of non-zombie processes in process group ``pgid``."""
+    members = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            fields = stat.read_text().rpartition(")")[2].split()
+        except OSError:
+            continue  # exited while we looked
+        if fields[0] != "Z" and int(fields[2]) == pgid:
+            members.append(int(stat.parent.name))
+    return members
+
+
+def reap_group(pgid: int) -> None:
+    """SIGKILL process group ``pgid`` and wait until none of it lives."""
+    try:
+        os.killpg(pgid, signal.SIGKILL)
+    except ProcessLookupError:
+        return
+    deadline = time.monotonic() + 10.0
+    while live_group_members(pgid) and time.monotonic() < deadline:
+        time.sleep(0.05)
 
 
 def await_daemon(sock: Path, proc: subprocess.Popen) -> None:
@@ -247,6 +275,9 @@ class TestKill9Restart:
         points = [spec(instances=i, quantum_ms=10.0) for i in (2, 3, 4)]
         reference = run_experiment(points[0])
         proc = start_serve(tmp_path, sock)
+        # Each daemon leads its own group (pgid == pid); the first one's
+        # pool workers outlive its SIGKILL unless the group is reaped.
+        groups = [proc.pid]
         try:
             await_daemon(sock, proc)
             client = ServeClient(
@@ -257,6 +288,7 @@ class TestKill9Restart:
             proc.kill()  # SIGKILL: no cleanup, no goodbye
             proc.wait(timeout=10)
             proc = start_serve(tmp_path, sock)
+            groups.append(proc.pid)
             outcomes = [job.result(timeout=120) for job in jobs_]
             assert outcomes[0] == reference
             assert client.reconnects == 1
@@ -273,6 +305,10 @@ class TestKill9Restart:
             if proc.poll() is None:
                 proc.kill()
                 proc.wait(timeout=10)
+            for pgid in groups:
+                reap_group(pgid)
+        # No daemon or orphaned pool worker of either group survives.
+        assert [live_group_members(pgid) for pgid in groups] == [[], []]
 
 
 class TestChaosReport:
