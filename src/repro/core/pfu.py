@@ -123,10 +123,6 @@ class PFU:
             self.total_completions += 1
         return consumed, result
 
-    @property
-    def in_flight(self) -> bool:
-        return self.status == 0
-
     # ---- OS side --------------------------------------------------------------
     def read_and_clear_usage(self) -> int:
         """Read the completion counter and reset it (§4.5)."""
@@ -190,16 +186,6 @@ class PFUBank:
 
     def configured_pfus(self) -> list[PFU]:
         return [pfu for pfu in self.pfus if pfu.configured]
-
-    def find_instance(self, pid: int, circuit_name: str) -> PFU | None:
-        """Locate the PFU holding a given process's circuit instance."""
-        for pfu in self.pfus:
-            if pfu.instance is not None and (
-                pfu.instance.pid == pid
-                and pfu.instance.spec.name == circuit_name
-            ):
-                return pfu
-        return None
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:

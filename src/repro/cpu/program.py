@@ -99,15 +99,6 @@ class Program:
     def read_result(self, memory: Memory, name: str) -> bytes:
         return memory.read_block(*self._region(name))
 
-    def read_result_words(self, memory: Memory, name: str) -> list[int]:
-        """A word-shaped result region as a list of little-endian words."""
-        address, length = self._region(name)
-        if address % 4 or length % 4:
-            raise WorkloadError(
-                f"{self.name}: result region {name!r} is not word-shaped"
-            )
-        return memory.read_words(address, length // 4)
-
     def result_matches(self, memory: Memory, name: str, expected: bytes) -> bool:
         """Compare a result region against reference bytes.
 

@@ -114,10 +114,6 @@ class Porsche:
         self.scheduler.add(process)
         return process
 
-    @property
-    def alive_processes(self) -> list[Process]:
-        return [p for p in self.processes.values() if p.alive]
-
     # ------------------------------------------------------------------
     # main loop
     # ------------------------------------------------------------------

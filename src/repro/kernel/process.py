@@ -138,11 +138,6 @@ class Process:
             )
         self.registrations[registration.cid] = registration
 
-    def loaded_instances(self) -> list[Registration]:
-        return [
-            reg for reg in self.registrations.values() if reg.pfu_index is not None
-        ]
-
     def read_result(self, name: str) -> bytes:
         """Read a named result region from the process's memory."""
         return self.program.read_result(self.memory, name)

@@ -141,7 +141,9 @@ class ChaosHarness:
         event_log: Path | str | None = None,
         quiet: bool = True,
     ) -> None:
-        self.workdir = Path(workdir)
+        # Absolute, because the daemon runs with this as its cwd and
+        # is handed the socket and cache paths derived from it.
+        self.workdir = Path(workdir).resolve()
         self.seed = seed
         self.scale = scale
         self.max_instances = max_instances
@@ -200,6 +202,9 @@ class ChaosHarness:
             stdout=self._daemon_log,
             stderr=self._daemon_log,
             cwd=str(self.workdir),
+            # Its own process group, so a kill -9 can take the pool
+            # workers down with it instead of orphaning them.
+            start_new_session=True,
         )
         deadline = time.monotonic() + _DAEMON_START_TIMEOUT_S
         while time.monotonic() < deadline:
@@ -277,7 +282,7 @@ class ChaosHarness:
         if daemon is None or daemon.poll() is not None:
             self._record("daemon_kill", skipped="daemon not running")
             return
-        daemon.kill()
+        os.killpg(daemon.pid, signal.SIGKILL)
         daemon.wait(timeout=10.0)
         self._record("daemon_kill", pid=daemon.pid)
         # While it is down: the two storage faults, so the restart
@@ -386,7 +391,7 @@ class ChaosHarness:
             try:
                 daemon.wait(timeout=15.0)
             except subprocess.TimeoutExpired:
-                daemon.kill()
+                os.killpg(daemon.pid, signal.SIGKILL)
                 daemon.wait(timeout=5.0)
         if self._daemon_log is not None:
             self._daemon_log.close()

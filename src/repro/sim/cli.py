@@ -9,6 +9,8 @@ Commands:
 * ``checkpoint`` / ``resume`` — run a point partway, snapshot the whole
   machine to JSON, and finish it later (in any interpreter) with a
   bit-identical outcome;
+* ``inject`` — the seeded fault-injection campaign across recovery
+  policies (detection, recovery and availability metrics);
 * ``trace`` — one point with event tracing and timelines;
 * ``synth`` — profiler-driven custom-instruction synthesis: report the
   mined candidate windows for a workload and compare makespans with
@@ -25,12 +27,13 @@ Commands:
   the daemon, tear the journal, corrupt the cache, drop the client —
   and prove the sweep CSV stays byte-identical.
 
-All commands accept ``--scale`` (default 1e-3; smaller is faster and
-coarser) and write CSV next to the plain-text rendering when ``--csv``
-is given.  The sweep commands (``fig2``/``fig3``/``speedup``) also take
-``--jobs N`` (fan points out over N worker processes; results stay
-bit-identical to serial) and ``--no-cache`` (bypass the on-disk result
-cache keyed by experiment-spec content hashes).  When a ``repro
+The experiment commands accept ``--scale`` (default 1e-3; smaller is
+faster and coarser), and those with a table write CSV next to the
+plain-text rendering when ``--csv`` is given.  The sweeps (``fig2``,
+``fig3``, ``speedup``, ``inject`` and ``synth``/``prefetch --sweep``)
+also take ``--jobs N`` (fan points out over N worker processes; results
+stay bit-identical to serial) and ``--no-cache`` (bypass the on-disk
+result cache keyed by experiment-spec content hashes).  When a ``repro
 serve`` daemon is listening on the socket, sweeps are submitted to it
 instead of a private pool — under ``--tenant`` / ``--priority`` —
 unless ``--no-daemon`` opts out.
@@ -40,26 +43,34 @@ from __future__ import annotations
 
 import argparse
 import sys
+import tempfile
 import time
+from dataclasses import fields, replace
 
 from ..apps.registry import WORKLOADS
 from ..errors import ExperimentError
+from ..kernel.replacement import POLICY_NAMES
 from ..machine import Machine
 from ..prefetch import PrefetchPlan
+from ..synth.mine import mine_candidates
 from ..synth.plan import SynthesisPlan
 from ..trace.counters import PrefetchStats
 from ..trace.sinks import JsonlSink, RingBufferSink
 from ..trace.timeline import TimelineAggregator
 from .campaign import CampaignConfig, render_campaign, run_campaign
 from .client import ServeClient
-from .experiment import ExperimentSpec, run_experiment
+from .experiment import (
+    ARCHITECTURES,
+    ExperimentSpec,
+    _cached_program,
+    run_experiment,
+)
 from .figures import (
+    ablation_sweep,
     contention_knees,
     figure2,
     figure3,
-    prefetch_sweep,
     speedup_table,
-    synthesis_sweep,
 )
 from .jobs import DEFAULT_TENANT, Scheduler
 from .journal import Journal
@@ -72,7 +83,7 @@ from .runner import (
     default_checkpoint_dir,
 )
 from .scaling import DEFAULT_SCALE
-from .serve import ServeDaemon, daemon_available, default_socket_path
+from .serve import ServeDaemon, daemon_available
 
 #: Every registered workload, in stable (sorted) order, for argparse.
 WORKLOAD_CHOICES = tuple(sorted(WORKLOADS))
@@ -151,11 +162,18 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _make_runner(args) -> SweepRunner:
+def _stores(args) -> tuple[ResultCache | None, CheckpointStore | None]:
+    """The result cache and checkpoint store ``--no-cache`` and
+    ``--warm-start`` select."""
     cache = None if args.no_cache else ResultCache(default_cache_dir())
     checkpoints = (
         CheckpointStore(default_checkpoint_dir()) if args.warm_start else None
     )
+    return cache, checkpoints
+
+
+def _make_runner(args) -> SweepRunner:
+    cache, checkpoints = _stores(args)
     scheduler = None
     if not args.no_daemon and daemon_available(args.socket):
         # A live daemon owns the worker fleet (and the stores): the
@@ -176,11 +194,6 @@ def _make_runner(args) -> SweepRunner:
     )
 
 
-def _finish_runner(runner: SweepRunner) -> None:
-    if isinstance(runner.scheduler, ServeClient):
-        runner.scheduler.close()
-
-
 def _report_sweep(runner: SweepRunner, args, stream=sys.stderr) -> None:
     """One summary line after a sweep: point count, cache hits, timing."""
     if args.quiet:
@@ -191,20 +204,17 @@ def _report_sweep(runner: SweepRunner, args, stream=sys.stderr) -> None:
         if runner.checkpoints is not None
         else ""
     )
-    retried = (
-        f"retried {stats.worker_retries} | " if stats.worker_retries else ""
-    )
-    evicted = (
-        f"evicted {stats.cache_evictions} | " if stats.cache_evictions else ""
-    )
-    coalesced = (
-        f"coalesced {stats.coalesced} | " if stats.coalesced else ""
-    )
-    preempted = (
-        f"preempted {stats.preemptions} | " if stats.preemptions else ""
-    )
-    timed_out = (
-        f"timed out {stats.timeouts} | " if stats.timeouts else ""
+    # Service-layer events, shown only when they happened.
+    events = "".join(
+        f"{name} {count} | "
+        for name, count in (
+            ("retried", stats.worker_retries),
+            ("evicted", stats.cache_evictions),
+            ("coalesced", stats.coalesced),
+            ("preempted", stats.preemptions),
+            ("timed out", stats.timeouts),
+        )
+        if count
     )
     via = (
         "daemon" if isinstance(runner.scheduler, ServeClient)
@@ -213,8 +223,7 @@ def _report_sweep(runner: SweepRunner, args, stream=sys.stderr) -> None:
     print(file=stream)
     print(
         f"sweep: {stats.points} points | cache hits {stats.cache_hits} | "
-        f"executed {stats.executed} | {warm}{retried}{evicted}"
-        f"{coalesced}{preempted}{timed_out}"
+        f"executed {stats.executed} | {warm}{events}"
         f"{stats.elapsed:.2f}s | {via}",
         file=stream,
     )
@@ -231,23 +240,27 @@ def _print_outcome(outcome) -> None:
         print(f"cis.{key:<22}: {value:,}")
 
 
-def _emit(figure, args) -> None:
-    print(file=sys.stderr)
-    print(render_table(figure))
-    print()
-    print(render_figure(figure))
-    print()
-    knees = contention_knees(figure)
-    print("Contention knees (first instance count above the linear trend):")
-    for label, knee in knees.items():
-        print(f"  {label:<32} {knee if knee is not None else '-'}")
-    if args.csv:
-        with open(args.csv, "w") as handle:
-            handle.write(figure.to_csv() + "\n")
-        print(f"\nCSV written to {args.csv}")
+def _add_point(
+    parser: argparse.ArgumentParser, architecture: bool = True
+) -> None:
+    """The options naming one experiment point (see :func:`_point_spec`)."""
+    parser.add_argument("workload", choices=WORKLOAD_CHOICES)
+    parser.add_argument("instances", type=int)
+    parser.add_argument("--quantum-ms", type=float, default=10.0)
+    parser.add_argument(
+        "--policy", default="round_robin", choices=POLICY_NAMES
+    )
+    parser.add_argument(
+        "--soft", action="store_true",
+        help="defer to software alternatives when the array is full",
+    )
+    if architecture:
+        parser.add_argument(
+            "--architecture", default="proteus", choices=ARCHITECTURES
+        )
 
 
-def main(argv: list[str] | None = None) -> int:
+def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="repro",
         description=(
@@ -257,28 +270,16 @@ def main(argv: list[str] | None = None) -> int:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p2 = sub.add_parser("fig2", help="basic scheduling test (Figure 2)")
-    _add_common(p2)
-    p3 = sub.add_parser("fig3", help="software dispatch test (Figure 3)")
-    _add_common(p3)
-    ps = sub.add_parser("speedup", help="accelerated vs unaccelerated")
-    _add_common(ps)
+    for name, text in (
+        ("fig2", "basic scheduling test (Figure 2)"),
+        ("fig3", "software dispatch test (Figure 3)"),
+        ("speedup", "accelerated vs unaccelerated"),
+    ):
+        _add_common(sub.add_parser(name, help=text))
 
     pr = sub.add_parser("run", help="one experiment point")
     _add_common(pr)
-    pr.add_argument("workload", choices=WORKLOAD_CHOICES)
-    pr.add_argument("instances", type=int)
-    pr.add_argument("--quantum-ms", type=float, default=10.0)
-    pr.add_argument(
-        "--policy", default="round_robin",
-        choices=("round_robin", "random", "lru", "second_chance"),
-    )
-    pr.add_argument("--soft", action="store_true",
-                    help="defer to software alternatives when the array is full")
-    pr.add_argument(
-        "--architecture", default="proteus",
-        choices=("proteus", "prisc", "memmap"),
-    )
+    _add_point(pr)
 
     pc = sub.add_parser(
         "checkpoint",
@@ -286,20 +287,8 @@ def main(argv: list[str] | None = None) -> int:
              "checkpoint (JSON) that `repro resume` can finish",
     )
     _add_common(pc)
-    pc.add_argument("workload", choices=WORKLOAD_CHOICES)
-    pc.add_argument("instances", type=int)
+    _add_point(pc)
     pc.add_argument("out", help="checkpoint file to write")
-    pc.add_argument("--quantum-ms", type=float, default=10.0)
-    pc.add_argument(
-        "--policy", default="round_robin",
-        choices=("round_robin", "random", "lru", "second_chance"),
-    )
-    pc.add_argument("--soft", action="store_true",
-                    help="defer to software alternatives when the array is full")
-    pc.add_argument(
-        "--architecture", default="proteus",
-        choices=("proteus", "prisc", "memmap"),
-    )
     pc.add_argument(
         "--at-quanta", type=int, default=64, metavar="N",
         help="checkpoint after N scheduler quanta (default 64); the "
@@ -342,8 +331,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     pi.add_argument("--quantum-ms", type=float, default=1.0)
     pi.add_argument(
-        "--replacement", default="round_robin",
-        choices=("round_robin", "random", "lru", "second_chance"),
+        "--replacement", default="round_robin", choices=POLICY_NAMES,
         help="PFU replacement policy (default round_robin)",
     )
     pi.add_argument("--config-rate", type=float, default=0.02,
@@ -371,15 +359,7 @@ def main(argv: list[str] | None = None) -> int:
              "per-process attribution + FPL occupancy timelines",
     )
     _add_common(pt)
-    pt.add_argument("workload", choices=WORKLOAD_CHOICES)
-    pt.add_argument("instances", type=int)
-    pt.add_argument("--quantum-ms", type=float, default=10.0)
-    pt.add_argument(
-        "--policy", default="round_robin",
-        choices=("round_robin", "random", "lru", "second_chance"),
-    )
-    pt.add_argument("--soft", action="store_true",
-                    help="defer to software alternatives when the array is full")
+    _add_point(pt, architecture=False)
     pt.add_argument(
         "--jsonl", metavar="PATH",
         help="also stream every event to PATH as JSON lines",
@@ -529,19 +509,7 @@ def main(argv: list[str] | None = None) -> int:
              "for (streamed) completion",
     )
     _add_common(pb)
-    pb.add_argument("workload", choices=WORKLOAD_CHOICES)
-    pb.add_argument("instances", type=int)
-    pb.add_argument("--quantum-ms", type=float, default=10.0)
-    pb.add_argument(
-        "--policy", default="round_robin",
-        choices=("round_robin", "random", "lru", "second_chance"),
-    )
-    pb.add_argument("--soft", action="store_true",
-                    help="defer to software alternatives when the array is full")
-    pb.add_argument(
-        "--architecture", default="proteus",
-        choices=("proteus", "prisc", "memmap"),
-    )
+    _add_point(pb)
     pb.add_argument(
         "--timeout-s", type=float, default=None, metavar="S",
         help="per-job wall-clock budget enforced at slice boundaries",
@@ -605,476 +573,455 @@ def main(argv: list[str] | None = None) -> int:
         "--max-age", type=float, default=7 * 24 * 3600.0, metavar="SECONDS",
         help="age threshold in seconds (default: 7 days)",
     )
+    return parser
 
-    args = parser.parse_args(argv)
-    # ``resume`` takes no common options; treat it as always-quiet.
-    progress = (
-        None if getattr(args, "quiet", True) else _progress(sys.stderr)
+
+def _write_csv(args, text: str) -> None:
+    if args.csv:
+        with open(args.csv, "w") as handle:
+            handle.write(text + "\n")
+        print(f"\nCSV written to {args.csv}")
+
+
+def _emit(figure, args) -> None:
+    print(file=sys.stderr)
+    print(render_table(figure))
+    print()
+    print(render_figure(figure))
+    print()
+    knees = contention_knees(figure)
+    print("Contention knees (first instance count above the linear trend):")
+    for label, knee in knees.items():
+        print(f"  {label:<32} {knee if knee is not None else '-'}")
+    _write_csv(args, figure.to_csv())
+
+
+def _run_sweep(args, sweep, *sweep_args, **kwargs):
+    """The sweep lifecycle: runner → ``sweep`` → summary line → close."""
+    runner = _make_runner(args)
+    result = sweep(*sweep_args, runner=runner, **kwargs)
+    _report_sweep(runner, args)
+    if isinstance(runner.scheduler, ServeClient):
+        runner.scheduler.close()
+    return result
+
+
+def _sweep_options(args) -> dict:
+    """The arguments every figure function takes from the command line."""
+    return {
+        "scale": args.scale,
+        "seed": args.seed,
+        "verify": args.verify,
+        "progress": None if args.quiet else _progress(sys.stderr),
+    }
+
+
+def _figure(args, sweep, *sweep_args, **kwargs) -> None:
+    """Sweep 1..--max-instances with a figure function and print it."""
+    figure = _run_sweep(
+        args, sweep, *sweep_args,
+        instances=range(1, args.max_instances + 1),
+        **_sweep_options(args), **kwargs,
     )
+    _emit(figure, args)
 
-    if args.command == "fig2":
-        runner = _make_runner(args)
-        figure = figure2(
-            scale=args.scale,
-            instances=range(1, args.max_instances + 1),
-            seed=args.seed,
-            verify=args.verify,
-            progress=progress,
-            runner=runner,
-        )
-        _report_sweep(runner, args)
-        _finish_runner(runner)
-        _emit(figure, args)
-    elif args.command == "fig3":
-        runner = _make_runner(args)
-        figure = figure3(
-            scale=args.scale,
-            instances=range(1, args.max_instances + 1),
-            seed=args.seed,
-            verify=args.verify,
-            progress=progress,
-            runner=runner,
-        )
-        _report_sweep(runner, args)
-        _finish_runner(runner)
-        _emit(figure, args)
-    elif args.command == "speedup":
-        runner = _make_runner(args)
-        figure = speedup_table(
-            scale=args.scale,
-            seed=args.seed,
-            verify=args.verify,
-            progress=progress,
-            runner=runner,
-        )
-        _report_sweep(runner, args)
-        _finish_runner(runner)
-        print(render_speedup(figure))
-        if args.csv:
-            with open(args.csv, "w") as handle:
-                handle.write(figure.to_csv() + "\n")
-            print(f"\nCSV written to {args.csv}")
-    elif args.command == "run":
-        spec = ExperimentSpec(
-            workload=args.workload,
-            instances=args.instances,
-            quantum_ms=args.quantum_ms,
-            policy=args.policy,
-            soft=args.soft,
-            architecture=args.architecture,
-            scale=args.scale,
-            seed=args.seed,
-        )
-        outcome = run_experiment(spec, verify=args.verify)
-        _print_outcome(outcome)
-    elif args.command == "checkpoint":
-        spec = ExperimentSpec(
-            workload=args.workload,
-            instances=args.instances,
-            quantum_ms=args.quantum_ms,
-            policy=args.policy,
-            soft=args.soft,
-            architecture=args.architecture,
-            scale=args.scale,
-            seed=args.seed,
-        )
-        machine = Machine.from_spec(spec)
-        machine.spawn_instances()
-        executed = machine.run_quanta(args.at_quanta)
-        if machine.finished:
-            print(
-                f"machine finished after {executed} quanta "
-                f"({machine.clock:,} cycles); nothing left to checkpoint",
-                file=sys.stderr,
-            )
-            return 1
-        machine.save_checkpoint(args.out)
-        print(f"workload      : {spec.workload} x{spec.instances}")
-        print(f"checkpointed  : after {executed} quanta at "
-              f"{machine.clock:,} cycles")
-        print(f"written to    : {args.out}")
-    elif args.command == "resume":
-        machine = Machine.load_checkpoint(args.checkpoint)
-        spec = machine.spec
-        assert spec is not None
-        resumed_from = machine.clock
-        machine.run()
-        outcome = machine.outcome(verify=args.verify)
-        print(f"resumed from  : {resumed_from:,} cycles")
-        _print_outcome(outcome)
-    elif args.command == "inject":
-        config = CampaignConfig(
-            workload=args.workload,
-            instances=args.instances,
-            trials=args.trials,
-            policies=tuple(
-                name.strip() for name in args.policies.split(",") if name.strip()
-            ),
-            quantum_ms=args.quantum_ms,
-            scale=args.scale,
-            seed=args.campaign_seed if args.seed is None else args.seed,
-            config_upset_rate=args.config_rate,
-            datapath_error_rate=args.datapath_rate,
-            transfer_error_rate=args.transfer_rate,
-            state_upset_rate=args.state_rate,
-            scrub_interval_quanta=args.scrub_interval,
-            quarantine_strikes=args.strikes,
-            max_load_retries=args.retries,
-            policy=args.replacement,
-        )
-        runner = _make_runner(args)
-        # Campaigns always verify: counting silently corrupted outputs
-        # is the point of the exercise.
-        report = run_campaign(config, runner=runner, verify=True)
-        _report_sweep(runner, args)
-        _finish_runner(runner)
-        print(render_campaign(report))
-        if args.csv:
-            with open(args.csv, "w") as handle:
-                handle.write(report.to_csv() + "\n")
-            print(f"\nCSV written to {args.csv}")
-    elif args.command == "trace":
-        spec = ExperimentSpec(
-            workload=args.workload,
-            instances=args.instances,
-            quantum_ms=args.quantum_ms,
-            policy=args.policy,
-            soft=args.soft,
-            scale=args.scale,
-            seed=args.seed,
-            prefetch=PrefetchPlan() if args.prefetch else None,
-        )
-        timeline = TimelineAggregator()
-        ring = RingBufferSink(capacity=max(args.events, 1))
-        sinks: list = [timeline, ring]
-        jsonl = None
-        if args.jsonl:
-            jsonl = JsonlSink(args.jsonl)
-            sinks.append(jsonl)
-        try:
-            outcome = run_experiment(spec, verify=args.verify, sinks=sinks)
-        finally:
-            if jsonl is not None:
-                jsonl.close()
-        timeline.close(outcome.makespan)
-        prefetch_stats = None
-        if outcome.prefetch:
-            prefetch_stats = PrefetchStats(
-                issued=outcome.prefetch["issued"],
-                hits=outcome.prefetch["hits"],
-                wasted=outcome.prefetch["wasted"],
-                cancelled=dict(outcome.prefetch["cancelled"]),
-                overlap_cycles=outcome.prefetch["overlap_cycles"],
-            )
-        print(f"workload      : {spec.workload} x{spec.instances}")
-        print(f"makespan      : {outcome.makespan:,} cycles")
-        print()
-        print(render_trace(
-            timeline, pfu_count=spec.pfu_count, prefetch=prefetch_stats
-        ))
-        if args.events:
-            print()
-            print(f"Last {min(args.events, len(ring))} of "
-                  f"{ring.seen:,} events:")
-            for event in ring:
-                print(f"  @{event.cycle:<12,} {event.to_dict()}")
-        if args.jsonl:
-            print(f"\nJSONL event stream written to {args.jsonl}")
-    elif args.command == "synth":
-        overrides = {}
-        if args.min_executions is not None:
-            overrides["min_executions"] = args.min_executions
-        if args.max_circuits is not None:
-            overrides["max_circuits_per_process"] = args.max_circuits
-        if args.trigger is not None:
-            overrides["trigger_instructions"] = args.trigger
-        plan = SynthesisPlan(**overrides)
-        if args.sweep:
-            runner = _make_runner(args)
-            figure = synthesis_sweep(
-                scale=args.scale,
-                instances=range(1, args.max_instances + 1),
-                workloads=(args.workload,),
-                plan=plan,
-                seed=args.seed,
-                verify=args.verify,
-                progress=progress,
-                runner=runner,
-            )
-            _report_sweep(runner, args)
-            _finish_runner(runner)
-            _emit(figure, args)
-        else:
-            from dataclasses import replace
 
-            from ..synth.mine import mine_candidates
-            from .experiment import _cached_program
+#: The :class:`ExperimentSpec` fields a subcommand's point options fill.
+_POINT_FIELDS = ("workload", "instances", "quantum_ms", "policy", "soft",
+                 "architecture", "scale", "seed")
 
-            spec_on = ExperimentSpec(
-                workload=args.workload,
-                instances=args.instances,
-                quantum_ms=args.quantum_ms,
-                scale=args.scale,
-                seed=args.seed,
-                synthesis=plan,
-            )
-            config = spec_on.build_config()
-            program = _cached_program(
-                spec_on.workload,
-                spec_on.resolve_items(),
-                spec_on.variant,
-                spec_on.register_soft,
-                spec_on.data_seed,
-            )
-            candidates = mine_candidates(program, plan, config)
-            print(f"workload      : {args.workload} ({program.name})")
-            print(f"candidates    : {len(candidates)}")
-            for cand in candidates:
-                inputs = ", ".join(f"r{reg}" for reg in cand.inputs)
-                print(f"  {cand.name}:")
-                print(f"    window      : instructions "
-                      f"[{cand.start}, {cand.end})")
-                print(f"    dataflow    : ({inputs}) -> r{cand.out_reg}")
-                print(f"    hotness     : {cand.count} rehearsal "
-                      f"executions")
-                print(f"    cycles      : {cand.sw_cycles} software vs "
-                      f"{cand.hw_cycles} dispatched")
-                print(f"    circuit     : {cand.clbs} CLBs, "
-                      f"latency {cand.latency}")
-                print(f"    score       : {cand.score:,}")
-            if not candidates:
-                print("  (nothing profitable under this plan)")
-            outcome_off = run_experiment(
-                replace(spec_on, synthesis=None), verify=args.verify
-            )
-            outcome_on = run_experiment(spec_on, verify=args.verify)
-            adopted = outcome_on.cis.get("registrations", 0)
-            print(f"baseline      : {outcome_off.makespan:,} cycles "
-                  f"({spec_on.instances} instances)")
-            print(f"synthesis     : {outcome_on.makespan:,} cycles "
-                  f"({adopted} adoptions)")
-            if outcome_on.makespan:
-                factor = outcome_off.makespan / outcome_on.makespan
-                print(f"speedup       : {factor:.3f}x")
-    elif args.command == "prefetch":
-        overrides = {}
-        if args.min_confidence is not None:
-            overrides["min_confidence_pct"] = args.min_confidence
-        if args.min_observations is not None:
-            overrides["min_observations"] = args.min_observations
-        if args.due_margin is not None:
-            overrides["due_margin_pct"] = args.due_margin
-        if args.no_steal:
-            overrides["steal_victims"] = False
-        plan = PrefetchPlan(**overrides)
-        if args.sweep:
-            runner = _make_runner(args)
-            figure = prefetch_sweep(
-                scale=args.scale,
-                instances=range(1, args.max_instances + 1),
-                workloads=(
-                    (args.workload,) if args.workload else ("phases", "burst")
-                ),
-                plan=plan,
-                seed=args.seed,
-                verify=args.verify,
-                progress=progress,
-                runner=runner,
-            )
-            _report_sweep(runner, args)
-            _finish_runner(runner)
-            _emit(figure, args)
-        else:
-            from dataclasses import replace
 
-            spec_on = ExperimentSpec(
-                workload=args.workload or "phases",
-                instances=args.instances,
-                quantum_ms=args.quantum_ms,
-                scale=args.scale,
-                seed=args.seed,
-                prefetch=plan,
-            )
-            outcome_off = run_experiment(
-                replace(spec_on, prefetch=None), verify=args.verify
-            )
-            outcome_on = run_experiment(spec_on, verify=args.verify)
-            stats = outcome_on.prefetch
-            cancelled = ",".join(
-                f"{reason}:{count}"
-                for reason, count in sorted(stats["cancelled"].items())
-            ) or "-"
-            print(f"workload      : {spec_on.workload} "
-                  f"x{spec_on.instances} @ {spec_on.quantum_ms:g}ms")
-            print(f"baseline      : {outcome_off.makespan:,} cycles")
-            print(f"prefetch      : {outcome_on.makespan:,} cycles")
-            if outcome_on.makespan:
-                factor = outcome_off.makespan / outcome_on.makespan
-                print(f"speedup       : {factor:.3f}x")
-            print(f"issued        : {stats['issued']:,} "
-                  f"(hits {stats['hits']:,}, wasted {stats['wasted']:,}, "
-                  f"cancelled {cancelled})")
-            print(f"accuracy      : {stats['accuracy_pct']}% of issues hit")
-            print(f"coverage      : {stats['coverage_pct']}% of loads "
-                  f"were prefetched")
-            print(f"overlap       : {stats['overlap_cycles']:,} demand "
-                  f"cycles hidden")
-    elif args.command == "serve":
-        cache = None if args.no_cache else ResultCache(default_cache_dir())
-        checkpoints = (
-            CheckpointStore(default_checkpoint_dir())
-            if args.warm_start else None
-        )
-        journal = (
-            None if args.no_journal
-            else Journal(default_cache_dir() / "journal",
-                         sync=args.journal_sync)
-        )
-        scheduler = Scheduler(
-            workers=args.workers,
-            cache=cache,
-            checkpoints=checkpoints,
-            queue_size=args.queue_size,
-            slice_quanta=args.slice_quanta or None,
-            rotate_workers=args.rotate_workers,
-            journal=journal,
-            hang_timeout_s=args.hang_timeout or None,
-        )
-        daemon = ServeDaemon(scheduler, args.socket)
+def _point_spec(args, **overrides) -> ExperimentSpec:
+    """The experiment point named by whichever point options the
+    subcommand declares; ``overrides`` set or replace spec fields."""
+    given = {name: getattr(args, name) for name in _POINT_FIELDS
+             if hasattr(args, name)}
+    return ExperimentSpec(**{**given, **overrides})
+
+
+def _plan_overrides(args, **options) -> dict:
+    """``{plan field: value}`` for each plan option given on the command
+    line (``options`` maps plan field names to argparse dests)."""
+    return {
+        field: getattr(args, dest) for field, dest in options.items()
+        if getattr(args, dest) is not None
+    }
+
+
+def _ablation_point(args, spec_on: ExperimentSpec, feature: str):
+    """Run ``spec_on`` with ``feature`` off and then on."""
+    off = run_experiment(replace(spec_on, **{feature: None}),
+                         verify=args.verify)
+    return off, run_experiment(spec_on, verify=args.verify)
+
+
+def _print_speedup(off, on) -> None:
+    if on.makespan:
+        print(f"speedup       : {off.makespan / on.makespan:.3f}x")
+
+
+# -- subcommand handlers: each returns an exit code (None means 0) ---------
+def _cmd_fig2(args) -> None:
+    _figure(args, figure2)
+
+
+def _cmd_fig3(args) -> None:
+    _figure(args, figure3)
+
+
+def _cmd_speedup(args) -> None:
+    figure = _run_sweep(args, speedup_table, **_sweep_options(args))
+    print(render_speedup(figure))
+    _write_csv(args, figure.to_csv())
+
+
+def _cmd_run(args) -> None:
+    _print_outcome(run_experiment(_point_spec(args), verify=args.verify))
+
+
+def _cmd_checkpoint(args) -> int | None:
+    spec = _point_spec(args)
+    machine = Machine.from_spec(spec)
+    machine.spawn_instances()
+    executed = machine.run_quanta(args.at_quanta)
+    if machine.finished:
         print(
-            f"repro serve: {args.workers} workers | "
-            f"slice {args.slice_quanta or 'off'} quanta | "
-            f"journal {'off' if journal is None else journal.root} | "
-            f"socket {daemon.socket_path}",
+            f"machine finished after {executed} quanta "
+            f"({machine.clock:,} cycles); nothing left to checkpoint",
             file=sys.stderr,
         )
-        recovered = scheduler.recover()
-        if recovered:
+        return 1
+    machine.save_checkpoint(args.out)
+    print(f"workload      : {spec.workload} x{spec.instances}")
+    print(f"checkpointed  : after {executed} quanta at "
+          f"{machine.clock:,} cycles")
+    print(f"written to    : {args.out}")
+    return None
+
+
+def _cmd_resume(args) -> None:
+    machine = Machine.load_checkpoint(args.checkpoint)
+    resumed_from = machine.clock
+    machine.run()
+    outcome = machine.outcome(verify=args.verify)
+    print(f"resumed from  : {resumed_from:,} cycles")
+    _print_outcome(outcome)
+
+
+def _cmd_inject(args) -> None:
+    config = CampaignConfig(
+        workload=args.workload,
+        instances=args.instances,
+        trials=args.trials,
+        policies=tuple(
+            name.strip() for name in args.policies.split(",") if name.strip()
+        ),
+        quantum_ms=args.quantum_ms,
+        scale=args.scale,
+        seed=args.campaign_seed if args.seed is None else args.seed,
+        config_upset_rate=args.config_rate,
+        datapath_error_rate=args.datapath_rate,
+        transfer_error_rate=args.transfer_rate,
+        state_upset_rate=args.state_rate,
+        scrub_interval_quanta=args.scrub_interval,
+        quarantine_strikes=args.strikes,
+        max_load_retries=args.retries,
+        policy=args.replacement,
+    )
+    # Campaigns always verify: counting silently corrupted outputs is
+    # the point of the exercise.
+    report = _run_sweep(args, run_campaign, config, verify=True)
+    print(render_campaign(report))
+    _write_csv(args, report.to_csv())
+
+
+def _cmd_trace(args) -> None:
+    spec = _point_spec(
+        args, prefetch=PrefetchPlan() if args.prefetch else None
+    )
+    timeline = TimelineAggregator()
+    ring = RingBufferSink(capacity=max(args.events, 1))
+    sinks: list = [timeline, ring]
+    jsonl = None
+    if args.jsonl:
+        jsonl = JsonlSink(args.jsonl)
+        sinks.append(jsonl)
+    try:
+        outcome = run_experiment(spec, verify=args.verify, sinks=sinks)
+    finally:
+        if jsonl is not None:
+            jsonl.close()
+    timeline.close(outcome.makespan)
+    prefetch_stats = PrefetchStats(**{
+        field.name: outcome.prefetch[field.name]
+        for field in fields(PrefetchStats)
+    }) if outcome.prefetch else None
+    print(f"workload      : {spec.workload} x{spec.instances}")
+    print(f"makespan      : {outcome.makespan:,} cycles")
+    print()
+    print(render_trace(
+        timeline, pfu_count=spec.pfu_count, prefetch=prefetch_stats
+    ))
+    if args.events:
+        print()
+        print(f"Last {min(args.events, len(ring))} of {ring.seen:,} events:")
+        for event in ring:
+            print(f"  @{event.cycle:<12,} {event.to_dict()}")
+    if args.jsonl:
+        print(f"\nJSONL event stream written to {args.jsonl}")
+
+
+def _cmd_synth(args) -> None:
+    plan = SynthesisPlan(**_plan_overrides(
+        args,
+        min_executions="min_executions",
+        max_circuits_per_process="max_circuits",
+        trigger_instructions="trigger",
+    ))
+    if args.sweep:
+        _figure(args, ablation_sweep, "synthesis",
+                workloads=(args.workload,), plan=plan)
+        return
+    spec_on = _point_spec(args, synthesis=plan)
+    program = _cached_program(
+        spec_on.workload,
+        spec_on.resolve_items(),
+        spec_on.variant,
+        spec_on.register_soft,
+        spec_on.data_seed,
+    )
+    candidates = mine_candidates(program, plan, spec_on.build_config())
+    print(f"workload      : {args.workload} ({program.name})")
+    print(f"candidates    : {len(candidates)}")
+    for cand in candidates:
+        inputs = ", ".join(f"r{reg}" for reg in cand.inputs)
+        print(f"  {cand.name}:")
+        print(f"    window      : instructions [{cand.start}, {cand.end})")
+        print(f"    dataflow    : ({inputs}) -> r{cand.out_reg}")
+        print(f"    hotness     : {cand.count} rehearsal executions")
+        print(f"    cycles      : {cand.sw_cycles} software vs "
+              f"{cand.hw_cycles} dispatched")
+        print(f"    circuit     : {cand.clbs} CLBs, latency {cand.latency}")
+        print(f"    score       : {cand.score:,}")
+    if not candidates:
+        print("  (nothing profitable under this plan)")
+    off, on = _ablation_point(args, spec_on, "synthesis")
+    print(f"baseline      : {off.makespan:,} cycles "
+          f"({spec_on.instances} instances)")
+    print(f"synthesis     : {on.makespan:,} cycles "
+          f"({on.cis.get('registrations', 0)} adoptions)")
+    _print_speedup(off, on)
+
+
+def _cmd_prefetch(args) -> None:
+    overrides = _plan_overrides(
+        args,
+        min_confidence_pct="min_confidence",
+        min_observations="min_observations",
+        due_margin_pct="due_margin",
+    )
+    if args.no_steal:
+        overrides["steal_victims"] = False
+    plan = PrefetchPlan(**overrides)
+    if args.sweep:
+        _figure(args, ablation_sweep, "prefetch",
+                workloads=(args.workload,) if args.workload else None,
+                plan=plan)
+        return
+    spec_on = _point_spec(args, workload=args.workload or "phases",
+                          prefetch=plan)
+    off, on = _ablation_point(args, spec_on, "prefetch")
+    stats = on.prefetch
+    cancelled = ",".join(
+        f"{reason}:{count}"
+        for reason, count in sorted(stats["cancelled"].items())
+    ) or "-"
+    print(f"workload      : {spec_on.workload} "
+          f"x{spec_on.instances} @ {spec_on.quantum_ms:g}ms")
+    print(f"baseline      : {off.makespan:,} cycles")
+    print(f"prefetch      : {on.makespan:,} cycles")
+    _print_speedup(off, on)
+    print(f"issued        : {stats['issued']:,} "
+          f"(hits {stats['hits']:,}, wasted {stats['wasted']:,}, "
+          f"cancelled {cancelled})")
+    print(f"accuracy      : {stats['accuracy_pct']}% of issues hit")
+    print(f"coverage      : {stats['coverage_pct']}% of loads "
+          f"were prefetched")
+    print(f"overlap       : {stats['overlap_cycles']:,} demand "
+          f"cycles hidden")
+
+
+def _cmd_serve(args) -> None:
+    cache, checkpoints = _stores(args)
+    journal = (
+        None if args.no_journal
+        else Journal(default_cache_dir() / "journal", sync=args.journal_sync)
+    )
+    scheduler = Scheduler(
+        workers=args.workers,
+        cache=cache,
+        checkpoints=checkpoints,
+        queue_size=args.queue_size,
+        slice_quanta=args.slice_quanta or None,
+        rotate_workers=args.rotate_workers,
+        journal=journal,
+        hang_timeout_s=args.hang_timeout or None,
+    )
+    daemon = ServeDaemon(scheduler, args.socket)
+    print(
+        f"repro serve: {args.workers} workers | "
+        f"slice {args.slice_quanta or 'off'} quanta | "
+        f"journal {'off' if journal is None else journal.root} | "
+        f"socket {daemon.socket_path}",
+        file=sys.stderr,
+    )
+    recovered = scheduler.recover()
+    if recovered:
+        print(
+            f"serve: recovered {recovered} interrupted job(s) "
+            "from the journal",
+            file=sys.stderr,
+        )
+    try:
+        daemon.run()
+    except KeyboardInterrupt:
+        pass
+    finally:
+        if daemon.drain_requested:
+            # SIGTERM: quiesce to slice boundaries (checkpointing and
+            # journaling in-flight jobs) instead of cancelling — the
+            # next daemon's recover() picks them back up.
+            drained = scheduler.drain()
+            scheduler.shutdown(wait=True, cancel_pending=False)
             print(
-                f"serve: recovered {recovered} interrupted job(s) "
-                "from the journal",
+                "serve: drained"
+                + ("" if drained else " (timed out with slices "
+                   "still running)"),
                 file=sys.stderr,
             )
-        try:
-            daemon.run()
-        except KeyboardInterrupt:
-            pass
-        finally:
-            if daemon.drain_requested:
-                # SIGTERM: quiesce to slice boundaries (checkpointing
-                # and journaling in-flight jobs) instead of cancelling
-                # — the next daemon's recover() picks them back up.
-                drained = scheduler.drain()
-                scheduler.shutdown(wait=True, cancel_pending=False)
-                print(
-                    "serve: drained"
-                    + ("" if drained else " (timed out with slices "
-                       "still running)"),
-                    file=sys.stderr,
-                )
-            else:
-                scheduler.shutdown(wait=True, cancel_pending=True)
-            if journal is not None:
-                journal.close()
-            stats = scheduler.stats
-            recovery = (
-                f"hung restarts {stats.hung_restarts} | "
-                f"replays {stats.journal_replays} | "
-                f"recovered {stats.jobs_recovered} | "
-                f"resubmits {stats.reconnects} | "
-                if (stats.hung_restarts or stats.journal_replays
-                    or stats.jobs_recovered or stats.reconnects)
-                else ""
-            )
-            print(
-                f"serve: {stats.submitted} submitted | "
-                f"{stats.executed} executed | "
-                f"cache hits {stats.cache_hits} | "
-                f"coalesced {stats.coalesced} | "
-                f"preemptions {stats.preemptions} | {recovery}"
-                f"journal {'degraded' if journal and journal.degraded else 'ok' if journal else 'off'}",
-                file=sys.stderr,
-            )
-    elif args.command == "submit":
-        spec = ExperimentSpec(
-            workload=args.workload,
-            instances=args.instances,
-            quantum_ms=args.quantum_ms,
-            policy=args.policy,
-            soft=args.soft,
-            architecture=args.architecture,
-            scale=args.scale,
-            seed=args.seed,
-        )
-        with ServeClient(args.socket) as client:
-            job = client.submit(
-                spec,
-                tenant=args.tenant,
-                verify=args.verify,
-                priority=args.priority,
-                timeout_s=args.timeout_s,
-                timeout_action=args.timeout_action,
-            )
-            if not args.quiet:
-                job.add_listener(
-                    lambda job, kind, message: print(
-                        f"[job {job.id}] {kind}", file=sys.stderr
-                    )
-                )
-            outcome = job.result()
-            if not args.quiet:
-                how = (
-                    "cache" if job.cached
-                    else "coalesced" if job.coalesced
-                    else f"{job.preemptions} preemptions on "
-                         f"{len(set(job.worker_pids))} workers"
-                )
-                print(f"[job {job.id}] done ({how})", file=sys.stderr)
-        _print_outcome(outcome)
-    elif args.command == "chaos":
-        import tempfile
-
-        from .chaos import ChaosHarness, render_chaos
-
-        workdir = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
-        harness = ChaosHarness(
-            workdir,
-            seed=args.seed,
-            scale=args.scale,
-            max_instances=args.max_instances,
-            workers=args.workers,
-            slice_quanta=args.slice_quanta,
-            event_log=args.event_log,
-            quiet=args.quiet,
-        )
-        report = harness.run()
-        print(render_chaos(report))
-        if not report.ok:
-            print(f"\nCSVs kept under {workdir} for diffing",
-                  file=sys.stderr)
-            return 1
-    elif args.command == "cache":
-        cache = ResultCache(default_cache_dir())
-        checkpoints = CheckpointStore(default_checkpoint_dir())
-        if args.cache_command == "stats":
-            stats = cache.stats()
-            ck = checkpoints.stats()
-            print(f"cache root    : {cache.root}")
-            print(f"results       : {stats['entries']} entries, "
-                  f"{stats['bytes']:,} bytes")
-            for ns, refs in sorted(stats["namespaces"].items()):
-                print(f"  tenant {ns:<12}: {refs} refs")
-            print(f"checkpoints   : {ck['entries']} entries, "
-                  f"{ck['bytes']:,} bytes")
         else:
-            pruned = cache.prune(args.max_age)
-            ck = checkpoints.prune(args.max_age)
-            print(f"results       : removed {pruned['removed']}, "
-                  f"kept {pruned['kept']}, "
-                  f"dangling refs {pruned['dangling_refs']}")
-            print(f"checkpoints   : removed {ck['removed']}, "
-                  f"kept {ck['kept']}")
-    return 0
+            scheduler.shutdown(wait=True, cancel_pending=True)
+        if journal is not None:
+            journal.close()
+        stats = scheduler.stats
+        recovery = (
+            f"hung restarts {stats.hung_restarts} | "
+            f"replays {stats.journal_replays} | "
+            f"recovered {stats.jobs_recovered} | "
+            f"resubmits {stats.reconnects} | "
+            if (stats.hung_restarts or stats.journal_replays
+                or stats.jobs_recovered or stats.reconnects)
+            else ""
+        )
+        journal_state = (
+            "off" if journal is None
+            else "degraded" if journal.degraded else "ok"
+        )
+        print(
+            f"serve: {stats.submitted} submitted | "
+            f"{stats.executed} executed | "
+            f"cache hits {stats.cache_hits} | "
+            f"coalesced {stats.coalesced} | "
+            f"preemptions {stats.preemptions} | {recovery}"
+            f"journal {journal_state}",
+            file=sys.stderr,
+        )
+
+
+def _cmd_submit(args) -> None:
+    with ServeClient(args.socket) as client:
+        job = client.submit(
+            _point_spec(args),
+            tenant=args.tenant,
+            verify=args.verify,
+            priority=args.priority,
+            timeout_s=args.timeout_s,
+            timeout_action=args.timeout_action,
+        )
+        if not args.quiet:
+            job.add_listener(
+                lambda job, kind, message: print(
+                    f"[job {job.id}] {kind}", file=sys.stderr
+                )
+            )
+        outcome = job.result()
+        if not args.quiet:
+            how = (
+                "cache" if job.cached
+                else "coalesced" if job.coalesced
+                else f"{job.preemptions} preemptions on "
+                     f"{len(set(job.worker_pids))} workers"
+            )
+            print(f"[job {job.id}] done ({how})", file=sys.stderr)
+    _print_outcome(outcome)
+
+
+def _cmd_chaos(args) -> int | None:
+    from .chaos import ChaosHarness, render_chaos
+
+    workdir = args.workdir or tempfile.mkdtemp(prefix="repro-chaos-")
+    harness = ChaosHarness(
+        workdir,
+        seed=args.seed,
+        scale=args.scale,
+        max_instances=args.max_instances,
+        workers=args.workers,
+        slice_quanta=args.slice_quanta,
+        event_log=args.event_log,
+        quiet=args.quiet,
+    )
+    report = harness.run()
+    print(render_chaos(report))
+    if not report.ok:
+        print(f"\nCSVs kept under {workdir} for diffing", file=sys.stderr)
+        return 1
+    return None
+
+
+def _cmd_cache(args) -> None:
+    cache = ResultCache(default_cache_dir())
+    checkpoints = CheckpointStore(default_checkpoint_dir())
+    if args.cache_command == "stats":
+        stats = cache.stats()
+        ck = checkpoints.stats()
+        print(f"cache root    : {cache.root}")
+        print(f"results       : {stats['entries']} entries, "
+              f"{stats['bytes']:,} bytes")
+        for ns, refs in sorted(stats["namespaces"].items()):
+            print(f"  tenant {ns:<12}: {refs} refs")
+        print(f"checkpoints   : {ck['entries']} entries, "
+              f"{ck['bytes']:,} bytes")
+    else:
+        pruned = cache.prune(args.max_age)
+        ck = checkpoints.prune(args.max_age)
+        print(f"results       : removed {pruned['removed']}, "
+              f"kept {pruned['kept']}, "
+              f"dangling refs {pruned['dangling_refs']}")
+        print(f"checkpoints   : removed {ck['removed']}, kept {ck['kept']}")
+
+
+#: Subcommand name → handler.
+_COMMANDS = {
+    "fig2": _cmd_fig2,
+    "fig3": _cmd_fig3,
+    "speedup": _cmd_speedup,
+    "run": _cmd_run,
+    "checkpoint": _cmd_checkpoint,
+    "resume": _cmd_resume,
+    "inject": _cmd_inject,
+    "trace": _cmd_trace,
+    "synth": _cmd_synth,
+    "prefetch": _cmd_prefetch,
+    "serve": _cmd_serve,
+    "submit": _cmd_submit,
+    "chaos": _cmd_chaos,
+    "cache": _cmd_cache,
+}
+
+
+def main(argv: list[str] | None = None) -> int:
+    args = _build_parser().parse_args(argv)
+    return _COMMANDS[args.command](args) or 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -169,10 +169,6 @@ class RunOutcome:
     #: overlap cycles — see :meth:`repro.machine.Machine.outcome`).
     prefetch: dict = field(default_factory=dict)
 
-    @property
-    def mean_completion(self) -> float:
-        return sum(self.completions) / len(self.completions)
-
 
 def outcome_to_dict(outcome: RunOutcome) -> dict:
     """A :class:`RunOutcome` as a JSON-serialisable document.

@@ -12,8 +12,8 @@ from __future__ import annotations
 from collections.abc import Iterable, Sequence
 from typing import Callable
 
-from ..apps.registry import get_workload
 from ..apps.workloads import WorkloadVariant
+from ..errors import ExperimentError
 from ..prefetch import PrefetchPlan
 from ..synth.plan import SynthesisPlan
 from .experiment import ExperimentSpec
@@ -33,42 +33,81 @@ def _label(workload: str, policy_text: str, quantum_ms: float) -> str:
 
 ProgressFn = Callable[[str, int, int], None]
 
-
-def _adapt_progress(
-    progress: ProgressFn | None, labels: list[str]
-):
-    """Bridge the runner's index-based progress to the label-based
-    :data:`ProgressFn` the CLI renders, flagging cache hits."""
-    if progress is None:
-        return None
-
-    def on_point(done: int, total: int, index: int, cached: bool) -> None:
-        mark = " [cache]" if cached else ""
-        progress(labels[index] + mark, done, total)
-
-    return on_point
+_CYCLES = "Completion time in clock cycles"
 
 
-def _sweep(
-    figure: FigureData,
-    specs: list[tuple[str, ExperimentSpec]],
+def _run(
+    labelled: list[tuple[str, ExperimentSpec]],
     verify: bool,
     progress: ProgressFn | None,
-    runner: SweepRunner | None = None,
-) -> FigureData:
+    runner: SweepRunner | None,
+) -> list:
+    """Run labelled specs in order, returning their outcomes.
+
+    ``runner`` defaults to a serial in-process one; its index-based
+    progress is bridged to the label-based :data:`ProgressFn` the CLI
+    renders, flagging cache hits.
+    """
+    on_point = None
+    if progress is not None:
+        def on_point(done: int, total: int, index: int, cached: bool) -> None:
+            mark = " [cache]" if cached else ""
+            progress(labelled[index][0] + mark, done, total)
+
     runner = runner if runner is not None else SweepRunner()
-    labels = [label for label, _ in specs]
-    outcomes = runner.run(
-        [spec for _, spec in specs],
-        verify=verify,
-        progress=_adapt_progress(progress, labels),
+    return runner.run(
+        [spec for _, spec in labelled], verify=verify, progress=on_point
     )
+
+
+#: One line of a grid sweep: (legend text, quantum in ms, the
+#: ExperimentSpec fields that distinguish it).
+_Line = tuple[str, float, dict]
+
+
+def _grid_sweep(
+    name: str,
+    title: str,
+    workloads: Sequence[str],
+    lines: Sequence[_Line],
+    instances: Iterable[int],
+    scale: float,
+    seed: int | None,
+    verify: bool,
+    progress: ProgressFn | None,
+    runner: SweepRunner | None,
+) -> FigureData:
+    """Completion cycles over concurrent instances for every
+    workload × line, one labelled series each, in that order."""
+    figure = FigureData(
+        name=name,
+        title=title,
+        xlabel="No. concurrent process instances",
+        ylabel=_CYCLES,
+    )
+    specs = [
+        (
+            _label(workload, text, quantum_ms),
+            ExperimentSpec(
+                workload=workload,
+                instances=n,
+                quantum_ms=quantum_ms,
+                scale=scale,
+                seed=seed,
+                **fields,
+            ),
+        )
+        for workload in workloads
+        for text, quantum_ms, fields in lines
+        for n in instances
+    ]
     by_label: dict[str, Series] = {}
-    for (label, spec), outcome in zip(specs, outcomes):
+    for (label, spec), outcome in zip(
+        specs, _run(specs, verify, progress, runner)
+    ):
         series = by_label.get(label)
         if series is None:
-            series = Series(label=label)
-            by_label[label] = series
+            series = by_label[label] = Series(label=label)
             figure.series.append(series)
         series.add(
             spec.instances,
@@ -99,33 +138,15 @@ def figure2(
     the axes are exactly the paper's: 1-8 concurrent instances of each
     workload under two replacement policies and two quanta.
     """
-    figure = FigureData(
-        name="figure2",
-        title="Basic Scheduling Test",
-        xlabel="No. concurrent process instances",
-        ylabel="Completion time in clock cycles",
+    lines = [
+        (_POLICY_LABEL[policy], quantum_ms, {"policy": policy})
+        for policy in policies
+        for quantum_ms in quanta
+    ]
+    return _grid_sweep(
+        "figure2", "Basic Scheduling Test", workloads, lines, instances,
+        scale, seed, verify, progress, runner,
     )
-    specs = []
-    for workload in workloads:
-        for policy in policies:
-            for quantum_ms in quanta:
-                label = _label(workload, _POLICY_LABEL[policy], quantum_ms)
-                for n in instances:
-                    specs.append(
-                        (
-                            label,
-                            ExperimentSpec(
-                                workload=workload,
-                                instances=n,
-                                quantum_ms=quantum_ms,
-                                policy=policy,
-                                soft=False,
-                                scale=scale,
-                                seed=seed,
-                            ),
-                        )
-                    )
-    return _sweep(figure, specs, verify, progress, runner)
 
 
 def figure3(
@@ -144,34 +165,15 @@ def figure3(
     defers to the registered software alternative when the array is
     full.  The paper plots echo and alpha (twofish tracks alpha).
     """
-    figure = FigureData(
-        name="figure3",
-        title="Software Dispatch Test",
-        xlabel="No. concurrent process instances",
-        ylabel="Completion time in clock cycles",
+    lines = [
+        ("Soft" if soft else "Round Robin", quantum_ms, {"soft": soft})
+        for quantum_ms in quanta
+        for soft in (False, True)
+    ]
+    return _grid_sweep(
+        "figure3", "Software Dispatch Test", workloads, lines, instances,
+        scale, seed, verify, progress, runner,
     )
-    specs = []
-    for workload in workloads:
-        for quantum_ms in quanta:
-            for soft in (False, True):
-                policy_text = "Soft" if soft else "Round Robin"
-                label = _label(workload, policy_text, quantum_ms)
-                for n in instances:
-                    specs.append(
-                        (
-                            label,
-                            ExperimentSpec(
-                                workload=workload,
-                                instances=n,
-                                quantum_ms=quantum_ms,
-                                policy="round_robin",
-                                soft=soft,
-                                scale=scale,
-                                seed=seed,
-                            ),
-                        )
-                    )
-    return _sweep(figure, specs, verify, progress, runner)
 
 
 def speedup_table(
@@ -191,144 +193,96 @@ def speedup_table(
         name="speedup",
         title="Accelerated vs. unaccelerated (single instance)",
         xlabel="variant (1 = accelerated, 2 = software)",
-        ylabel="Completion time in clock cycles",
+        ylabel=_CYCLES,
     )
     variants = (WorkloadVariant.ACCELERATED, WorkloadVariant.SOFTWARE)
-    specs = []
-    labels = []
-    for workload_name in workloads:
-        for variant in variants:
-            labels.append(f"{workload_name} ({variant.value})")
-            specs.append(
-                ExperimentSpec(
-                    workload=workload_name,
-                    instances=1,
-                    variant=variant,
-                    register_soft=variant is WorkloadVariant.ACCELERATED,
-                    scale=scale,
-                    seed=seed,
-                )
-            )
-    runner = runner if runner is not None else SweepRunner()
-    outcomes = runner.run(
-        specs, verify=verify, progress=_adapt_progress(progress, labels)
-    )
-    for slot, workload_name in enumerate(workloads):
+    specs = [
+        (
+            f"{workload_name} ({variant.value})",
+            ExperimentSpec(
+                workload=workload_name,
+                instances=1,
+                variant=variant,
+                register_soft=variant is WorkloadVariant.ACCELERATED,
+                scale=scale,
+                seed=seed,
+            ),
+        )
+        for workload_name in workloads
+        for variant in variants
+    ]
+    outcomes = _run(specs, verify, progress, runner)
+    for workload_name, fast, slow in zip(
+        workloads, outcomes[::2], outcomes[1::2]
+    ):
         series = Series(label=workload_name)
-        cycles = {}
-        for position, variant in enumerate(variants, start=1):
-            outcome = outcomes[slot * len(variants) + position - 1]
-            cycles[variant] = outcome.makespan
-            series.add(position, outcome.makespan, variant=variant.value)
-        factor = cycles[WorkloadVariant.SOFTWARE] / cycles[
-            WorkloadVariant.ACCELERATED
-        ]
-        series.points[-1].detail["speedup"] = round(factor, 2)
+        series.add(1, fast.makespan, variant=variants[0].value)
+        series.add(2, slow.makespan, variant=variants[1].value,
+                   speedup=round(slow.makespan / fast.makespan, 2))
         figure.series.append(series)
     return figure
 
 
-def synthesis_sweep(
+#: The feature ablations :func:`ablation_sweep` runs, keyed by the
+#: :class:`ExperimentSpec` field that toggles them: figure name, title,
+#: legend text for the "on" series, default workloads, default plan.
+_ABLATIONS: dict[str, tuple[str, str, str, tuple[str, ...], type]] = {
+    "synthesis": (
+        "synthesis", "Profiler-Driven Synthesis Test", "Synthesis",
+        ("hash",), SynthesisPlan,
+    ),
+    "prefetch": (
+        "prefetch", "Speculative Configuration Prefetch Test", "Prefetch",
+        ("phases", "burst"), PrefetchPlan,
+    ),
+}
+
+
+def ablation_sweep(
+    feature: str,
     scale: float = DEFAULT_SCALE,
     instances: Iterable[int] = range(1, 9),
-    workloads: Sequence[str] = ("hash",),
+    workloads: Sequence[str] | None = None,
     quanta: Sequence[float] = (10.0, 1.0),
-    plan: SynthesisPlan | None = None,
+    plan: SynthesisPlan | PrefetchPlan | None = None,
     seed: int | None = None,
     verify: bool = False,
     progress: ProgressFn | None = None,
     runner: SweepRunner | None = None,
 ) -> FigureData:
-    """The §6 "final system" sweep: synthesis off vs. on.
+    """A fig2-style contention sweep with one feature off vs. on.
 
-    The baseline series run the circuit-free hash workload as shipped;
-    the synthesis series run the same images with the profiler-driven
-    circuit synthesiser enabled, so the only difference is the mined
-    custom instruction.  Axes match Figure 2 (completion cycles over
-    concurrent instances, two quanta).
+    ``feature`` names the :class:`ExperimentSpec` field to toggle,
+    ``"synthesis"`` or ``"prefetch"``.  The baseline series run the
+    images as shipped; the other series run the same images with
+    ``plan`` (default: the feature's default plan), so the only
+    difference is the feature.  The axes match Figure 2: completion
+    cycles over concurrent instances, round robin, two quanta.
+
+    * ``synthesis`` — the §6 "final system": the profiler-driven circuit
+      synthesiser on the circuit-free hash workload, so the only
+      difference is the mined custom instruction.
+    * ``prefetch`` — speculative configuration prefetch on the
+      phase-changing and bursty workloads, the circuit-switching
+      patterns the transition predictor was built for.
     """
-    plan = plan if plan is not None else SynthesisPlan()
-    figure = FigureData(
-        name="synthesis",
-        title="Profiler-Driven Synthesis Test",
-        xlabel="No. concurrent process instances",
-        ylabel="Completion time in clock cycles",
+    if feature not in _ABLATIONS:
+        raise ExperimentError(
+            f"unknown ablation {feature!r}; choose from {tuple(_ABLATIONS)}"
+        )
+    name, title, mode_text, default_workloads, plan_type = _ABLATIONS[feature]
+    if workloads is None:
+        workloads = default_workloads
+    plan = plan if plan is not None else plan_type()
+    lines = [
+        (text, quantum_ms, {feature: value})
+        for text, value in (("Baseline", None), (mode_text, plan))
+        for quantum_ms in quanta
+    ]
+    return _grid_sweep(
+        name, title, workloads, lines, instances, scale, seed, verify,
+        progress, runner,
     )
-    specs = []
-    for workload in workloads:
-        for synthesis in (None, plan):
-            mode_text = "Baseline" if synthesis is None else "Synthesis"
-            for quantum_ms in quanta:
-                label = _label(workload, mode_text, quantum_ms)
-                for n in instances:
-                    specs.append(
-                        (
-                            label,
-                            ExperimentSpec(
-                                workload=workload,
-                                instances=n,
-                                quantum_ms=quantum_ms,
-                                policy="round_robin",
-                                soft=False,
-                                scale=scale,
-                                seed=seed,
-                                synthesis=synthesis,
-                            ),
-                        )
-                    )
-    return _sweep(figure, specs, verify, progress, runner)
-
-
-def prefetch_sweep(
-    scale: float = DEFAULT_SCALE,
-    instances: Iterable[int] = range(1, 9),
-    workloads: Sequence[str] = ("phases", "burst"),
-    quanta: Sequence[float] = (10.0, 1.0),
-    plan: PrefetchPlan | None = None,
-    seed: int | None = None,
-    verify: bool = False,
-    progress: ProgressFn | None = None,
-    runner: SweepRunner | None = None,
-) -> FigureData:
-    """The fig2-style contention sweep: prefetch off vs. on.
-
-    The baseline series run with the purely reactive CIS; the prefetch
-    series run the same images with the predictive layer enabled, so the
-    only difference is speculation.  Defaults to the phase-changing and
-    bursty workloads — the circuit-switching patterns the transition
-    predictor was built for — on the same axes as Figure 2 (completion
-    cycles over concurrent instances, two quanta).
-    """
-    plan = plan if plan is not None else PrefetchPlan()
-    figure = FigureData(
-        name="prefetch",
-        title="Speculative Configuration Prefetch Test",
-        xlabel="No. concurrent process instances",
-        ylabel="Completion time in clock cycles",
-    )
-    specs = []
-    for workload in workloads:
-        for prefetch in (None, plan):
-            mode_text = "Baseline" if prefetch is None else "Prefetch"
-            for quantum_ms in quanta:
-                label = _label(workload, mode_text, quantum_ms)
-                for n in instances:
-                    specs.append(
-                        (
-                            label,
-                            ExperimentSpec(
-                                workload=workload,
-                                instances=n,
-                                quantum_ms=quantum_ms,
-                                policy="round_robin",
-                                soft=False,
-                                scale=scale,
-                                seed=seed,
-                                prefetch=prefetch,
-                            ),
-                        )
-                    )
-    return _sweep(figure, specs, verify, progress, runner)
 
 
 def contention_knees(figure: FigureData) -> dict[str, int | None]:

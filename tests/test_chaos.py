@@ -22,7 +22,7 @@ import pytest
 
 from repro.errors import DaemonLostError, ExperimentError
 from repro.sim import jobs
-from repro.sim.chaos import ChaosReport, render_chaos
+from repro.sim.chaos import ChaosHarness, ChaosReport, render_chaos
 from repro.sim.client import ServeClient
 from repro.sim.experiment import ExperimentSpec, run_experiment
 from repro.sim.journal import Journal
@@ -83,6 +83,15 @@ def reap_group(pgid: int) -> None:
     deadline = time.monotonic() + 10.0
     while live_group_members(pgid) and time.monotonic() < deadline:
         time.sleep(0.05)
+
+
+def alive(pid: int) -> bool:
+    """Whether ``pid`` names a live (non-zombie) process."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return False
+    return stat.rpartition(")")[2].split()[0] != "Z"
 
 
 def await_daemon(sock: Path, proc: subprocess.Popen) -> None:
@@ -228,7 +237,12 @@ class TestSigtermDrain:
             client = ServeClient(sock, reconnect=0)
             submitted = [client.submit(point) for point in points]
             assert len(submitted) == 2
-            time.sleep(0.5)  # let slices get in flight
+            # SIGTERM as soon as both jobs have slices in flight: a
+            # fixed sleep can outlast the whole (sub-second) workload.
+            deadline = time.monotonic() + 30.0
+            while any(job.state.value != "running" for job in submitted):
+                assert time.monotonic() < deadline, "jobs never started"
+                time.sleep(0.01)
             proc.send_signal(signal.SIGTERM)
             stderr = proc.communicate(timeout=60)[1]
             client.close()
@@ -309,6 +323,58 @@ class TestKill9Restart:
                 reap_group(pgid)
         # No daemon or orphaned pool worker of either group survives.
         assert [live_group_members(pgid) for pgid in groups] == [[], []]
+
+
+class TestChaosHarness:
+    def test_relative_workdir_is_made_absolute(self, tmp_path, monkeypatch):
+        """The daemon runs with the workdir as its cwd, so the socket
+        and cache paths handed to it must not be relative to it."""
+        monkeypatch.chdir(tmp_path)
+        harness = ChaosHarness("chaos-work")
+        assert harness.workdir == tmp_path.resolve() / "chaos-work"
+        assert harness.socket_path.is_absolute()
+        assert harness.cache_dir.is_absolute()
+        assert harness.journal_dir.is_absolute()
+
+    def test_daemon_kill_takes_its_pool_workers_down(self, tmp_path):
+        """The injected kill -9 reaps the daemon's whole process group:
+        neither the daemon nor its pool workers outlive it, and the
+        restarted daemon still finishes the interrupted job."""
+        harness = ChaosHarness(tmp_path / "chaos")
+        harness.workdir.mkdir()
+        harness.start_daemon()
+        killed = harness._daemon
+        client = ServeClient(
+            harness.socket_path, reconnect=20, backoff_base_s=0.05,
+            backoff_cap_s=0.5,
+        )
+        workers: list[int] = []
+        try:
+            point = spec(instances=4, quantum_ms=10.0)
+            job = client.submit(point)
+            deadline = time.monotonic() + 30.0
+            while not workers:
+                assert time.monotonic() < deadline, "no worker ever started"
+                workers = client.stats().get("worker_pids", [])
+                time.sleep(0.05)
+            harness._fault_daemon_kill(client)
+            deadline = time.monotonic() + 10.0
+            survivors = [killed.pid, *workers]
+            while survivors and time.monotonic() < deadline:
+                survivors = [pid for pid in survivors if alive(pid)]
+                time.sleep(0.05)
+            assert survivors == []
+            assert live_group_members(killed.pid) == []
+            # The restarted daemon leads a group of its own, too.
+            assert os.getpgid(harness._daemon.pid) == harness._daemon.pid
+            assert job.result(timeout=120) == run_experiment(point)
+        finally:
+            client.close()
+            harness._stop_daemon()
+            for pid in workers:  # orphans, should the group kill miss any
+                if alive(pid):
+                    os.kill(pid, signal.SIGKILL)
+            reap_group(harness._daemon.pid)
 
 
 class TestChaosReport:

@@ -4,10 +4,10 @@ import pytest
 
 from repro.errors import ExperimentError
 from repro.sim.figures import (
+    ablation_sweep,
     contention_knees,
     figure2,
     figure3,
-    prefetch_sweep,
     speedup_table,
 )
 from repro.sim.report import render_figure, render_speedup, render_table
@@ -158,7 +158,8 @@ class TestFigure3:
 
 class TestPrefetchSweep:
     def test_baseline_and_prefetch_series(self):
-        figure = prefetch_sweep(
+        figure = ablation_sweep(
+            "prefetch",
             scale=SCALE,
             instances=(1, 3),
             workloads=("phases",),
@@ -173,7 +174,8 @@ class TestPrefetchSweep:
     def test_prefetch_wins_past_the_knee(self):
         """At 5 instances (10 circuits on 4 PFUs) the predictive layer
         must beat the reactive baseline outright."""
-        figure = prefetch_sweep(
+        figure = ablation_sweep(
+            "prefetch",
             scale=SCALE,
             instances=(5,),
             workloads=("burst",),
@@ -182,6 +184,20 @@ class TestPrefetchSweep:
         base = figure.series_by_label("Burst, Baseline, 1ms").y_at(5)
         on = figure.series_by_label("Burst, Prefetch, 1ms").y_at(5)
         assert on < base
+
+
+class TestAblationSweep:
+    def test_synthesis_series_and_default_workload(self):
+        figure = ablation_sweep("synthesis", scale=SCALE, instances=(1,),
+                                quanta=(10.0,))
+        assert figure.name == "synthesis"
+        assert figure.labels() == [
+            "Hash, Baseline, 10ms", "Hash, Synthesis, 10ms",
+        ]
+
+    def test_unknown_feature_is_a_typed_error(self):
+        with pytest.raises(ExperimentError, match="unknown ablation"):
+            ablation_sweep("fault_plan", scale=SCALE, instances=(1,))
 
 
 class TestSpeedupTable:
