@@ -2,12 +2,15 @@
 
 The tiered interpreter (``MachineConfig.exec_tier``) trades compile
 effort for simulation throughput: ``step`` re-decodes every instruction,
-``closure`` pre-compiles one closure per instruction, ``block``
-additionally fuses straight-line runs into superinstructions and
-memoizes CDP dispatch, and ``jit`` trace-compiles hot loops into
-generated straight-line Python with registers as locals.  All four are
-bit-identical (asserted in tests/test_blocks.py); this bench records how
-much wall-clock each tier buys on three kernels:
+``block`` fuses straight-line runs into superinstructions and memoizes
+CDP dispatch, and ``jit`` trace-compiles hot loops into generated
+straight-line Python with registers as locals.  All three are
+bit-identical (asserted in tests/test_blocks.py).  The bench also runs
+``closure``: one closure per instruction from
+:func:`repro.cpu.translate.translate`, the block tier's unfused
+fallback.  It is no longer a selectable tier, but it is the baseline
+the fusing tiers must beat.  This bench records how much wall-clock
+each buys on three kernels:
 
 * ``alu_hot``    — long unrolled straight-line runs (the compiled
   tiers' best case: the jit executes the whole loop body as one
@@ -33,15 +36,18 @@ from conftest import emit
 # front so the first measured run does not pay module-import cost.
 import repro.cpu.blocks    # noqa: F401
 import repro.cpu.traces    # noqa: F401
-import repro.cpu.translate  # noqa: F401
-from repro.config import EXEC_TIERS, MachineConfig
+from repro.config import MachineConfig
 from repro.core.circuit import CircuitSpec, FunctionBehaviour
 from repro.core.coprocessor import ProteusCoprocessor
 from repro.core.tlb import IDTuple
+from repro.cpu import translate
 from repro.cpu.assembler import assemble
 from repro.cpu.core import CPU, CPUState
 from repro.cpu.isa import code_address
 from repro.cpu.memory import Memory
+
+#: The selectable tiers plus the unfused ``closure`` baseline.
+VARIANTS = ("jit", "block", "closure", "step")
 
 #: Cycles per run() burst — long enough that per-burst overhead is noise.
 BURST = 1 << 16
@@ -133,12 +139,13 @@ def _adder_spec() -> CircuitSpec:
     )
 
 
-def _make_cpu(source: str, tier: str, with_circuit: bool) -> CPU:
+def _make_cpu(source: str, variant: str, with_circuit: bool) -> CPU:
     program = assemble(source)
     memory = Memory(size=64 * 1024)
     memory.write_block(program.data_base, program.data)
     state = CPUState(memory=memory)
     state.pc = code_address(program.entry_index)
+    tier = "block" if variant == "closure" else variant
     config = MachineConfig(cycles_per_ms=1000, exec_tier=tier)
     coprocessor = ProteusCoprocessor(config=config)
     if with_circuit:
@@ -153,7 +160,20 @@ def _make_cpu(source: str, tier: str, with_circuit: bool) -> CPU:
     )
 
 
-def _measure(source: str, tier: str, with_circuit: bool, repeats: int = 3):
+def _compile_unfused(cpu: CPU) -> None:
+    """Give ``cpu`` one closure per instruction and no fusion: the
+    ``closure`` baseline, installed where ``CPU._compile`` would put
+    the block tier's ops."""
+    ctx = translate.RunContext()
+    cpu._ops = translate.translate(
+        cpu.program, ctx, cpu.state.regs, cpu.state.flags,
+        cpu.state.memory, cpu.coprocessor, cpu.config, cpu.pid, cpu.state,
+    )
+    cpu._ctx = ctx
+
+
+def _measure(source: str, variant: str, with_circuit: bool,
+             repeats: int = 3):
     """Best-of-``repeats`` instructions/second running the kernel to HALT.
 
     Compilation happens inside the timed region on the first burst —
@@ -163,8 +183,10 @@ def _measure(source: str, tier: str, with_circuit: bool, repeats: int = 3):
     best = None
     retired = 0
     for _ in range(repeats):
-        cpu = _make_cpu(source, tier, with_circuit)
+        cpu = _make_cpu(source, variant, with_circuit)
         started = time.perf_counter()
+        if variant == "closure":
+            _compile_unfused(cpu)
         while not cpu.state.halted:
             cpu.run(BURST)
         elapsed = time.perf_counter() - started
@@ -174,13 +196,13 @@ def _measure(source: str, tier: str, with_circuit: bool, repeats: int = 3):
 
 
 def _regenerate() -> dict[str, dict[str, float]]:
-    """{kernel: {tier: instructions/sec}} over all kernels and tiers."""
+    """{kernel: {variant: instructions/sec}} over all kernels."""
     results: dict[str, dict[str, float]] = {}
     for kernel, (source, with_circuit) in KERNELS.items():
         results[kernel] = {}
-        for tier in EXEC_TIERS:
-            ips, _ = _measure(source, tier, with_circuit)
-            results[kernel][tier] = ips
+        for variant in VARIANTS:
+            ips, _ = _measure(source, variant, with_circuit)
+            results[kernel][variant] = ips
     return results
 
 
@@ -188,12 +210,12 @@ def _render(results: dict[str, dict[str, float]]) -> str:
     lines = [
         "interpreter tiers: instructions per second (higher is better)",
         "",
-        f"{'kernel':<12} " + " ".join(f"{t:>12}" for t in EXEC_TIERS)
+        f"{'kernel':<12} " + " ".join(f"{t:>12}" for t in VARIANTS)
         + f" {'blk/clo':>8} {'jit/clo':>8} {'jit/blk':>8}",
     ]
     for kernel, by_tier in results.items():
         row = f"{kernel:<12} " + " ".join(
-            f"{by_tier[t]:>12,.0f}" for t in EXEC_TIERS
+            f"{by_tier[t]:>12,.0f}" for t in VARIANTS
         )
         row += f" {by_tier['block'] / by_tier['closure']:>8.2f}"
         row += f" {by_tier['jit'] / by_tier['closure']:>8.2f}"

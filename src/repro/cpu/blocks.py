@@ -5,7 +5,8 @@ module overlays that list with *fused* closures covering straight-line
 runs of simple instructions, so a burst dispatches once per basic block
 instead of once per instruction.  The tier is purely a simulator-speed
 choice: cycle accounting, trace counters, fault state and checkpoint
-bytes are bit-identical to the ``closure`` and ``step`` tiers.
+bytes are bit-identical to the per-instruction closures and the
+``step`` tier.
 
 **Partitioning.**  Block leaders are instruction 0, every static branch
 target, and the instruction after each terminator (B/BL/BX/SWI/HALT/CDP
@@ -19,7 +20,7 @@ flow, no traps, and nothing that sets ``halted`` or ``interrupted``, so
 the per-iteration checks of :meth:`repro.cpu.core.CPU.run` cannot fire
 inside it.  Each fused closure guards on its precomputed cycle total and
 falls back to the leader's original per-instruction closure when the
-remaining budget is smaller — in exactly those bursts the closure tier
+remaining budget is smaller — in exactly those bursts the unfused closures
 would also have stepped the run one instruction at a time, so quantum
 boundaries and the overrun of the final committed instruction land on
 the same instruction with the same cycle count.  Memory operations keep

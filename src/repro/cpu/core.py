@@ -105,15 +105,14 @@ class RunResult:
 class CPU:
     """Interpreter binding one process's state to the shared coprocessor.
 
-    Four execution tiers share the same semantics, selected by
+    Three execution tiers share the same semantics, selected by
     ``MachineConfig.exec_tier``:
 
     * ``"step"`` — the readable reference interpreter (:meth:`step`,
       driven in bursts by :meth:`run_interpreted`);
-    * ``"closure"`` — bounded bursts over closure-compiled instructions
-      (see :mod:`repro.cpu.translate`), several times faster;
-    * ``"block"`` — the closure tier with straight-line runs fused into
-      basic-block superinstructions (see :mod:`repro.cpu.blocks`);
+    * ``"block"`` — bounded bursts over closure-compiled instructions
+      (see :mod:`repro.cpu.translate`) with straight-line runs fused
+      into basic-block superinstructions (see :mod:`repro.cpu.blocks`);
     * ``"jit"`` — the block tier plus a trace compiler that turns hot
       paths into generated straight-line Python (see
       :mod:`repro.cpu.traces`), the default.  ~1.8× ``block`` on hot
@@ -143,9 +142,9 @@ class CPU:
         self.pid = pid
         #: Execution tier (see ``MachineConfig.exec_tier``): "jit"
         #: trace-compiles hot paths to generated Python, "block" fuses
-        #: straight-line runs into superinstructions, "closure" compiles
-        #: one closure per instruction, "step" drives the reference
-        #: interpreter.  All four are bit-identical.
+        #: straight-line runs into superinstructions over one closure
+        #: per instruction, "step" drives the reference interpreter.
+        #: All three are bit-identical.
         self._tier = config.exec_tier
         self._ctx: "translate_module.RunContext | None" = None
         self._ops = None
@@ -197,10 +196,8 @@ class CPU:
 
         if self._tier == "jit":
             from .traces import translate_traces as translate_fn
-        elif self._tier == "block":
-            from .blocks import translate_blocks as translate_fn
         else:
-            translate_fn = translate_module.translate
+            from .blocks import translate_blocks as translate_fn
 
         ctx = translate_module.RunContext()
         ops = translate_fn(

@@ -66,6 +66,7 @@ every iteration; a re-heat records a path that stops before it.
 
 from __future__ import annotations
 
+import os
 import threading
 from types import CodeType
 from typing import Callable
@@ -152,6 +153,12 @@ _CODE_CACHE: dict[str, CodeType] = {}
 #: Serialises insert-and-evict: an inline scheduler thread may build
 #: CPUs alongside the main thread.
 _CODE_CACHE_LOCK = threading.Lock()
+# Held across fork(): a pool worker forked while another thread holds it
+# would inherit it held and hang at its first cache miss.
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(before=_CODE_CACHE_LOCK.acquire,
+                        after_in_parent=_CODE_CACHE_LOCK.release,
+                        after_in_child=_CODE_CACHE_LOCK.release)
 
 
 def shared_code(

@@ -10,8 +10,9 @@ production) while a client sweeps, then compare bytes.
 
 Fault repertoire (:data:`DEFAULT_FAULTS`, each seeded and logged):
 
-* ``worker_kill`` — SIGKILL one worker process mid-slice; the broken
-  pool requeues its job from the last checkpoint.
+* ``worker_kill`` — SIGKILL one worker process mid-slice; the
+  scheduler replaces that worker and requeues its job from the last
+  checkpoint.
 * ``client_drop`` — sever the client socket as a network fault would;
   the client reconnects with deterministic backoff and resubmits
   idempotently.
@@ -202,8 +203,9 @@ class ChaosHarness:
             stdout=self._daemon_log,
             stderr=self._daemon_log,
             cwd=str(self.workdir),
-            # Its own process group, so a kill -9 can take the pool
-            # workers down with it instead of orphaning them.
+            # Its own process group, so a kill -9 takes the pool
+            # workers down with it at once (left alone, a worker exits
+            # when it next reads its pipe, which a hung one never does).
             start_new_session=True,
         )
         deadline = time.monotonic() + _DAEMON_START_TIMEOUT_S

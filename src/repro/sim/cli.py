@@ -472,7 +472,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     pv.add_argument(
         "--rotate-workers", action="store_true",
-        help="retire the worker pool at every preemption, forcing each "
+        help="retire a slice's worker at every preemption, forcing each "
              "resume onto a fresh process (migration stress mode)",
     )
     pv.add_argument("--socket", default=None, metavar="PATH",

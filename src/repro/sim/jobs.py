@@ -21,25 +21,29 @@ Three pieces:
   worker — that is migration.  Checkpoints are exact, so a sliced,
   migrated run is bit-identical to an uninterrupted one.
 
-The scheduler folds in the sweep engine's robustness duties: a dead
-pool worker (:class:`BrokenProcessPool`) rebuilds the pool and retries
-the casualty from its last checkpoint, degrading to in-process
-execution after repeated failures; a timed-out job is checkpointed and
-requeued at lower priority (or failed); shutdown cancels everything
-pending and leaves no orphaned worker behind.
+The pool is explicit: each of the ``workers`` slots is one forked
+process, one pipe and one thread.  An idle slot's thread takes the best
+queued job, sends one slice down its pipe and waits for the reply, so
+every failure stays with the one worker and the one job it hit — the
+way the paper's CIS evicts one circuit and leaves the others loaded:
 
-Two crash-safety layers sit on top (see :mod:`repro.sim.journal`):
+* a worker that *dies* mid-slice (EOF on its pipe) is replaced and its
+  job retried from the last checkpoint, degrading to in-process
+  execution on that slot's thread after repeated failures;
+* a worker that is alive but *hung* (no reply within the per-slice
+  deadline) is SIGKILLed and its job requeued under a bounded strike
+  budget — after :data:`MAX_HANG_STRIKES` strikes the job
+  quarantine-fails instead of eating workers forever;
+* a timed-out job is checkpointed and requeued at lower priority (or
+  failed); shutdown cancels everything pending and leaves no orphaned
+  worker behind — and a worker whose daemon was ``kill -9``'d exits on
+  its own when its pipe reaches EOF.
 
-* an optional write-ahead **journal** records submissions, lifecycle
-  transitions and latest-checkpoint refs, so :meth:`Scheduler.recover`
-  can requeue everything a killed daemon left behind — idempotently,
-  deduplicated on ``(tenant, spec_key, verify)``;
-* a **watchdog** catches workers that are alive but *hung* (a case
-  ``BrokenProcessPool`` never reports): a slice that overruns its
-  wall-clock deadline gets its pool killed and rotated, and the job
-  requeued from its last checkpoint under a bounded strike budget —
-  after :data:`MAX_HANG_STRIKES` strikes the job quarantine-fails
-  instead of eating workers forever.
+An optional write-ahead **journal** (see :mod:`repro.sim.journal`)
+records submissions, lifecycle transitions and latest-checkpoint refs,
+so :meth:`Scheduler.recover` can requeue everything a killed daemon
+left behind — idempotently, deduplicated on ``(tenant, spec_key,
+verify)``.
 
 :meth:`Scheduler.drain` is the graceful sibling of ``shutdown``: stop
 dispatching, let in-flight slices checkpoint and journal themselves,
@@ -61,8 +65,6 @@ import os
 import signal
 import threading
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from enum import Enum
 from typing import Any, Callable, Sequence
@@ -99,17 +101,14 @@ TIMEOUT_SLICE_QUANTA = 128
 #: the floor fails cleanly instead of re-emitting ``demoted`` forever.
 MIN_PRIORITY = -8
 
-#: Pool rebuilds tolerated per job before it runs inline in the parent.
+#: Worker deaths tolerated per job before it runs inline in the parent.
 MAX_WORKER_RETRIES = 2
 
 #: Hung-worker kills tolerated per job before it quarantine-fails.
 #: Unlike worker *deaths* (which degrade to inline execution), a job
 #: that repeatedly hangs its worker must never run inline — it would
-#: hang the dispatcher itself.
+#: hang its slot's thread itself.
 MAX_HANG_STRIKES = 2
-
-#: Fraction of the per-slice deadline between watchdog sweeps.
-WATCHDOG_RESOLUTION = 0.25
 
 
 class QueueFull(ExperimentError):
@@ -172,9 +171,6 @@ class Job:
         self.retries = 0
         #: Times the watchdog killed a hung worker under this job.
         self.hang_strikes = 0
-        #: Set by the watchdog between the kill and the resulting
-        #: BrokenProcessPool, so the failure is booked as a hang.
-        self._hang_killed = False
         #: The journal resubmitted this job after a daemon restart.
         self.recovered = False
         #: Times the job was preempted at a slice boundary.
@@ -364,7 +360,7 @@ class SchedulerStats:
     timeouts: int = 0
     worker_retries: int = 0
     cancelled: int = 0
-    #: Hung workers killed and rotated by the watchdog.
+    #: Hung workers killed and replaced by the watchdog.
     hung_restarts: int = 0
     #: Journal replays performed by :meth:`Scheduler.recover`.
     journal_replays: int = 0
@@ -376,12 +372,26 @@ class SchedulerStats:
 
 #: File descriptors every freshly forked worker closes at startup.
 #: Fork-context workers inherit *every* parent fd — including, in a
-#: ``repro serve`` daemon, the per-client connection sockets.  Left
-#: open in the workers, those copies keep a killed daemon's
-#: connections half-alive, so clients never see EOF and never start
-#: reconnecting.  The daemon registers its sockets here; the pool's
-#: initializer closes them on the child side of the fork.
+#: ``repro serve`` daemon, the per-client connection sockets, and the
+#: parent's end of every other worker's pipe.  Left open in a worker,
+#: those copies keep a killed daemon's connections half-alive (clients
+#: never see EOF and never start reconnecting) and keep the other
+#: workers' pipes from ever reaching EOF.  The daemon registers its
+#: sockets here and the pool its pipe ends; :func:`_worker_main` closes
+#: them on the child side of the fork.
 _WORKER_CLOSE_FDS: set[int] = set()
+
+#: Serialises forking a worker against opening and closing pool pipes,
+#: so no worker inherits a pipe end that is not (or no longer) in
+#: ``_WORKER_CLOSE_FDS``.
+_FORK_LOCK = threading.Lock()
+
+#: Fork is markedly cheaper than spawn and inherits the already-imported
+#: simulator (and any wrapper installed on ``_execute_slice``); fall back
+#: to the platform default where fork is unavailable.
+_CONTEXT = multiprocessing.get_context(
+    "fork" if "fork" in multiprocessing.get_all_start_methods() else None
+)
 
 
 def close_fd_in_workers(fd: int) -> None:
@@ -394,30 +404,45 @@ def forget_fd_in_workers(fd: int) -> None:
     _WORKER_CLOSE_FDS.discard(fd)
 
 
-def _worker_init() -> None:
+def _worker_main(conn) -> None:
+    """A pool worker: shed what the fork inherited, then serve slices.
+
+    Each payload arriving on ``conn`` runs through the module-global
+    :func:`_execute_slice` — looked up at call time, so a wrapper
+    installed before the fork runs too — and its result (or the error
+    it raised) goes back.  EOF on the pipe means the scheduler retired
+    this worker or its process died; either way the worker exits.
+    """
     # Fork also copies the parent's signal plumbing.  In a daemon the
     # parent is an asyncio loop whose C-level signal trampoline writes
     # the signal number into a wakeup socketpair — *shared* with the
-    # child across the fork.  A worker that later receives SIGTERM
-    # (pool teardown uses ``Process.terminate``) would write into that
-    # shared socket and the PARENT's loop would dispatch its own
-    # SIGTERM callback — a phantom drain nobody requested.  Detach the
-    # wakeup fd and restore default dispositions before anything else.
-    try:
-        signal.set_wakeup_fd(-1)
-    except (ValueError, OSError):
-        pass  # non-main thread or closed fd: nothing to detach
+    # child across the fork.  A worker that later receives SIGTERM would
+    # write into that shared socket and the PARENT's loop would dispatch
+    # its own SIGTERM callback — a phantom drain nobody requested.
+    # Detach the wakeup fd and restore default dispositions first (the
+    # worker runs in its process's main thread, so neither call raises).
+    signal.set_wakeup_fd(-1)
     for signum in (signal.SIGTERM, signal.SIGINT):
-        try:
-            signal.signal(signum, signal.SIG_DFL)
-        except (ValueError, OSError):
-            pass
-    for fd in list(_WORKER_CLOSE_FDS):
+        signal.signal(signum, signal.SIG_DFL)
+    for fd in _WORKER_CLOSE_FDS - {conn.fileno()}:
         try:
             os.close(fd)
         except OSError:
             pass
     _WORKER_CLOSE_FDS.clear()
+    while True:
+        try:
+            payload = conn.recv()
+        except (EOFError, OSError):
+            return
+        try:
+            reply = (True, _execute_slice(payload))
+        except Exception as error:  # reported to the scheduler as-is
+            reply = (False, error)
+        try:
+            conn.send(reply)
+        except OSError:
+            return  # the scheduler is gone
 
 
 def _execute_slice(payload: tuple) -> tuple:
@@ -457,6 +482,65 @@ def _execute_slice(payload: tuple) -> tuple:
     )
 
 
+class _Worker:
+    """One pool slot's worker process and the parent's end of its pipe.
+
+    Forked lazily, when the slot next needs it, so a worker starts from
+    the parent's state at that moment.  Only its slot's thread touches
+    it, apart from :meth:`Scheduler.worker_pids` reading :attr:`process`.
+    """
+
+    def __init__(self) -> None:
+        self.process = self.conn = None
+
+    def run(self, payload: tuple, timeout_s: float | None):
+        """Run one slice: ``(ok, result_or_error)``, or None when no
+        reply came within ``timeout_s``.  Raises :class:`EOFError` or
+        :class:`OSError` when the worker died."""
+        if self.process is None or not self.process.is_alive():
+            self.close()  # died while idle: replace it uncharged
+            self._fork()
+        self.conn.send(payload)
+        if not self.conn.poll(timeout_s):
+            return None
+        return self.conn.recv()
+
+    def _fork(self) -> None:
+        with _FORK_LOCK:
+            conn, child = _CONTEXT.Pipe()
+            _WORKER_CLOSE_FDS.add(conn.fileno())
+            process = _CONTEXT.Process(
+                target=_worker_main, args=(child,), name="repro-worker",
+                daemon=True,
+            )
+            try:
+                process.start()
+            except BaseException:
+                _WORKER_CLOSE_FDS.discard(conn.fileno())
+                conn.close()
+                raise
+            finally:
+                child.close()
+        self.process, self.conn = process, conn
+
+    def close(self, kill: bool = False) -> None:
+        """Retire the worker: EOF ends an idle one, SIGKILL (``kill``)
+        a hung one.  Either way it is reaped before this returns."""
+        process, conn = self.process, self.conn
+        if process is None:
+            return
+        self.process = self.conn = None
+        if kill:
+            process.kill()
+        with _FORK_LOCK:
+            _WORKER_CLOSE_FDS.discard(conn.fileno())
+            conn.close()
+        process.join(timeout=10.0)
+        if process.is_alive():
+            process.kill()
+            process.join()
+
+
 class Scheduler:
     """Multi-tenant job executor over a self-healing worker pool.
 
@@ -469,8 +553,8 @@ class Scheduler:
     ``slice_quanta`` bounds how long a job may hold a worker: unset,
     jobs run to completion (the sweep runner's mode); set, every job is
     preemptible and migratable at slice boundaries (the daemon's mode).
-    ``rotate_workers`` additionally retires the pool at each
-    preemption, forcing the next slice onto a fresh worker process —
+    ``rotate_workers`` additionally retires the worker that ran each
+    preempted slice, forcing the next slice onto a fresh process —
     deterministic migration, used by the tests and debuggable via
     ``repro serve --rotate-workers``.
     """
@@ -504,7 +588,7 @@ class Scheduler:
         #: Write-ahead job journal (:class:`repro.sim.journal.Journal`),
         #: duck typed; None disables crash safety entirely.
         self.journal = journal
-        #: Per-slice wall-clock deadline: the watchdog's hang detector.
+        #: Per-slice wall-clock deadline: the hung-worker detector.
         #: Derived from the slice budget by the caller (a slice is a
         #: *bounded* amount of simulation, so a worker that holds one
         #: past the deadline is hung, not slow); None disables it.
@@ -518,26 +602,23 @@ class Scheduler:
         self._jobs: dict[int, Job] = {}
         self._closing = False
         self._draining = False
-        #: Slices currently on a worker: job id -> (job, deadline,
-        #: pool generation).  Feeds the watchdog and drain().
-        self._active: dict[int, tuple[Job, float, int]] = {}
-        self._pool: ProcessPoolExecutor | None = None
-        self._pool_lock = threading.Lock()
-        self._pool_generation = 0
-        self._slots = threading.BoundedSemaphore(max(workers, 1))
-        self._dispatcher: threading.Thread | None = None
-        self._watchdog: threading.Thread | None = None
-        if workers > 0:
-            self._dispatcher = threading.Thread(
-                target=self._dispatch_loop, name="repro-dispatch", daemon=True
-            )
-            self._dispatcher.start()
-            if hang_timeout_s is not None:
-                self._watchdog = threading.Thread(
-                    target=self._watchdog_loop, name="repro-watchdog",
-                    daemon=True,
-                )
-                self._watchdog.start()
+        #: Ids of the jobs with a slice on a worker right now; drain()
+        #: waits for this to empty.
+        self._active: set[int] = set()
+        self._workers = [_Worker() for _ in range(workers)]
+        self._threads = [
+            threading.Thread(target=self._serve, args=(worker,),
+                             name=f"repro-worker-{index}", daemon=True)
+            for index, worker in enumerate(self._workers)
+        ]
+        for thread in self._threads:
+            thread.start()
+
+    def _count(self, name: str) -> None:
+        """Bump one :class:`SchedulerStats` counter: slot threads and
+        submitters update them concurrently."""
+        with self._lock:
+            setattr(self.stats, name, getattr(self.stats, name) + 1)
 
     # -- cache plumbing ----------------------------------------------------
     def _cache_for(self, tenant: str):
@@ -597,9 +678,9 @@ class Scheduler:
             timeout_action=timeout_action,
         )
         job.checkpoint = checkpoint
-        self.stats.submitted += 1
+        self._count("submitted")
         if resubmit:
-            self.stats.reconnects += 1
+            self._count("reconnects")
         with self._lock:
             self._jobs[job.id] = job
         self._journal_submit(job)
@@ -624,7 +705,7 @@ class Scheduler:
         hit = cache.load(spec, verify) if cache is not None else None
         if hit is not None:
             job.cached = True
-            self.stats.cache_hits += 1
+            self._count("cache_hits")
             self._settle(job, JobState.DONE, outcome=hit)
             return job
 
@@ -711,7 +792,7 @@ class Scheduler:
 
         records = self.journal.replay(truncate=True)
         if records:
-            self.stats.journal_replays += 1
+            self._count("journal_replays")
         pending = recovered_jobs(records)
         self.journal.reset()
         requeued = 0
@@ -740,7 +821,7 @@ class Scheduler:
                 continue  # backpressure: the journal still has it
             job.recovered = True
             requeued += 1
-            self.stats.jobs_recovered += 1
+            self._count("jobs_recovered")
         return requeued
 
     # -- graceful drain ----------------------------------------------------
@@ -772,19 +853,15 @@ class Scheduler:
             return not self._active
 
     def worker_pids(self) -> list[int]:
-        """PIDs of the live pool's worker processes.
+        """PIDs of the pool's live worker processes.
 
         Surfaced through the daemon ``stats`` verb so observers — and
         the chaos harness, which needs real kill targets — can see the
-        fleet.  Empty before the first dispatch or after a rotation."""
-        with self._pool_lock:
-            pool = self._pool
-        if pool is None:
-            return []
+        fleet.  A slot forks its worker on its first job, so this is
+        empty before the first dispatch and after a rotation."""
+        processes = [worker.process for worker in self._workers]
         return sorted(
-            process.pid
-            for process in list(getattr(pool, "_processes", {}).values())
-            if process.pid is not None
+            process.pid for process in processes if process is not None
         )
 
     # -- execution ---------------------------------------------------------
@@ -806,7 +883,7 @@ class Scheduler:
 
     def _run_inline(self, job: Job) -> None:
         """Execute in the calling thread: the serial reference path and
-        the degraded mode after repeated pool failures."""
+        the degraded mode after repeated worker deaths."""
         if job.started_at is None:
             job.started_at = time.monotonic()
         job.state = JobState.RUNNING
@@ -821,112 +898,93 @@ class Scheduler:
             if self._absorb(job, result):
                 return
 
-    def _dispatch_loop(self) -> None:
-        while True:
-            # Hold a worker slot *before* choosing a job: the pick then
-            # happens at dispatch time, so a high-priority arrival while
-            # every worker is busy still jumps the whole queue instead
-            # of waiting behind an already-popped lower-priority job.
-            self._slots.acquire()
-            job = self.queue.get()
-            if job is None:
-                self._slots.release()
-                return
-            if job.done():  # cancelled while queued
-                self._slots.release()
-                continue
-            if self._draining:
-                # Graceful drain: leave the job journaled (submitted,
-                # latest checkpoint) rather than cancelled — the next
-                # daemon's recover() requeues it.  Popping here just
-                # empties the queue so shutdown() can join us.
-                self._slots.release()
-                continue
-            if self._closing:
-                self._slots.release()
-                self._cancel(job)
-                continue
-            if job.retries > MAX_WORKER_RETRIES:
-                # The pool died repeatedly under this job; stop feeding
-                # it workers and run the remainder here instead.
-                self._slots.release()
-                self._run_inline(job)
-                continue
-            if job.started_at is None:
-                job.started_at = time.monotonic()
-            if job.state is not JobState.RUNNING:
-                job.state = JobState.RUNNING
-                self._journal_state(job, "running")
-                job._emit("running", {})
-            try:
-                with self._pool_lock:
-                    pool = self._ensure_pool()
-                    generation = self._pool_generation
-                    # Register with the watchdog *before* dispatching:
-                    # a slice that completes instantly pops a present
-                    # entry instead of racing the registration.
-                    deadline = (
-                        float("inf") if self.hang_timeout_s is None
-                        else time.monotonic() + self.hang_timeout_s
-                    )
-                    with self._lock:
-                        self._active[job.id] = (job, deadline, generation)
-                    future = pool.submit(_execute_slice, self._payload(job))
-            except BaseException:
-                self._slots.release()
-                with self._lock:
-                    self._active.pop(job.id, None)
-                self._fail(job, "could not dispatch to worker pool")
-                continue
-            future.add_done_callback(
-                lambda f, job=job, generation=generation:
-                    self._on_slice_done(job, f, generation)
-            )
-
-    def _on_slice_done(self, job: Job, future, generation: int) -> None:
-        self._slots.release()
-        with self._lock:
-            self._active.pop(job.id, None)
+    def _serve(self, worker: _Worker) -> None:
+        """One pool slot's thread: take the best queued job, run one
+        slice of it on this slot's worker, repeat until the queue
+        closes.  Taking the job only once idle keeps the pick at
+        dispatch time, so a high-priority arrival while every worker is
+        busy still jumps the whole queue."""
         try:
-            result = future.result()
-        except BrokenProcessPool:
-            if job._hang_killed:
-                # Not a death but an execution: the watchdog killed this
-                # job's hung worker (the pool is already rotated).  Retry
-                # from the last checkpoint under the strike budget; a
-                # serial hanger quarantine-fails instead of eating a
-                # fresh worker forever.
-                job._hang_killed = False
-                if job.hang_strikes > MAX_HANG_STRIKES:
-                    self._fail(
-                        job,
-                        f"quarantined after {job.hang_strikes} hung-worker "
-                        f"strikes (worker exceeded "
-                        f"{self.hang_timeout_s}s/slice)",
-                    )
+            while True:
+                job = self.queue.get()
+                if job is None:
                     return
-                self.queue.requeue(job)
-                return
-            # A worker died mid-slice (OOM kill, segfault...).  Retire
-            # the broken pool once, then retry the job from its last
-            # checkpoint — progress up to the previous slice survives.
-            self._retire_pool(generation)
+                if job.done() or self._draining:
+                    # Cancelled while queued — or, when draining, left
+                    # journaled (submitted, latest checkpoint) rather
+                    # than cancelled: the next daemon's recover()
+                    # requeues it.  Popping here just empties the queue
+                    # so shutdown() can join us.
+                    continue
+                if self._closing:
+                    self._cancel(job)
+                    continue
+                try:
+                    if job.retries > MAX_WORKER_RETRIES:
+                        # Workers died repeatedly under this job; stop
+                        # feeding it workers and run the remainder here.
+                        self._run_inline(job)
+                    else:
+                        self._run_slice(worker, job)
+                except Exception as error:  # keep the slot serving
+                    worker.close(kill=True)
+                    self._fail(job, f"{type(error).__name__}: {error}")
+        finally:
+            worker.close()
+
+    def _run_slice(self, worker: _Worker, job: Job) -> None:
+        if job.started_at is None:
+            job.started_at = time.monotonic()
+        if job.state is not JobState.RUNNING:
+            job.state = JobState.RUNNING
+            self._journal_state(job, "running")
+            job._emit("running", {})
+        with self._lock:
+            self._active.add(job.id)
+        try:
+            reply = worker.run(self._payload(job), self.hang_timeout_s)
+        except (EOFError, OSError):
+            # The worker died mid-slice (OOM kill, segfault...).  Replace
+            # it and retry the job from its last checkpoint — progress
+            # up to the previous slice survives.
+            worker.close()
             job.retries += 1
-            self.stats.worker_retries += 1
+            self._count("worker_retries")
             self.queue.requeue(job)
             return
-        except ReproError as error:
-            self._fail(job, str(error))
-            return
-        except BaseException as error:  # cancellation during shutdown
-            if self._closing:
-                self._cancel(job)
+        finally:
+            with self._lock:
+                self._active.discard(job.id)
+        if reply is None:
+            # Alive but hung past the per-slice deadline (a slice is a
+            # *bounded* amount of simulation): only the OS can take the
+            # CPU back.  Retry from the last checkpoint under the strike
+            # budget; a serial hanger quarantine-fails instead of eating
+            # a fresh worker forever.
+            worker.close(kill=True)
+            job.hang_strikes += 1
+            self._count("hung_restarts")
+            job._emit("hung", {"strikes": job.hang_strikes})
+            if job.hang_strikes > MAX_HANG_STRIKES:
+                self._fail(
+                    job,
+                    f"quarantined after {job.hang_strikes} hung-worker "
+                    f"strikes (worker exceeded "
+                    f"{self.hang_timeout_s}s/slice)",
+                )
             else:
-                self._fail(job, f"{type(error).__name__}: {error}")
+                self.queue.requeue(job)
+            return
+        ok, result = reply
+        if not ok:
+            if isinstance(result, ReproError):
+                self._fail(job, str(result))
+            else:
+                self._fail(job, f"{type(result).__name__}: {result}")
             return
         if not self._absorb(job, result):
             if self.rotate_workers:
-                self._retire_pool(generation)
+                worker.close()
             self.queue.requeue(job)
 
     def _absorb(self, job: Job, result: tuple) -> bool:
@@ -938,7 +996,7 @@ class Scheduler:
             return True
         job.checkpoint = first
         job.preemptions += 1
-        self.stats.preemptions += 1
+        self._count("preemptions")
         # The journal tracks the latest checkpoint ref so a killed
         # daemon resumes this job from here, not cycle 0.
         self._journal_checkpoint(job)
@@ -954,7 +1012,7 @@ class Scheduler:
         if time.monotonic() - job.started_at < job.timeout_s:
             return False
         job.timed_out = True
-        self.stats.timeouts += 1
+        self._count("timeouts")
         if (
             job.timeout_action == "demote"
             and job.checkpoint is not None
@@ -982,9 +1040,9 @@ class Scheduler:
     # -- completion --------------------------------------------------------
     def _complete(self, job: Job, outcome: RunOutcome,
                   captured: dict | None) -> None:
-        self.stats.executed += 1
+        self._count("executed")
         if job.warm_started:
-            self.stats.warm_started += 1
+            self._count("warm_started")
         if self.checkpoints is not None:
             # Straight runs capture via run_capturing; sliced runs keep
             # their last preemption checkpoint.  Either warms future
@@ -995,7 +1053,7 @@ class Scheduler:
             if keep is not None and not job.warm_started:
                 self.checkpoints.store(job.spec, keep)
                 job.stored_checkpoint = True
-                self.stats.captured += 1
+                self._count("captured")
         cache = self._cache_for(job.tenant)
         if cache is not None:
             cache.store(job.spec, job.verify, outcome)
@@ -1005,7 +1063,7 @@ class Scheduler:
         self._settle(job, JobState.FAILED, error=error)
 
     def _cancel(self, job: Job) -> None:
-        self.stats.cancelled += 1
+        self._count("cancelled")
         self._settle(job, JobState.CANCELLED, error="cancelled")
 
     def _settle(self, job: Job, state: JobState,
@@ -1032,80 +1090,6 @@ class Scheduler:
             follower._finish(state, outcome=outcome, error=error)
             self._journal_state(follower, state.value, error=error)
 
-    # -- pool management ---------------------------------------------------
-    def _ensure_pool(self) -> ProcessPoolExecutor:
-        if self._pool is None:
-            # Fork is markedly cheaper than spawn and inherits the
-            # already-imported simulator; fall back to the platform
-            # default where fork is unavailable.
-            methods = multiprocessing.get_all_start_methods()
-            context = multiprocessing.get_context(
-                "fork" if "fork" in methods else None
-            )
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.workers, mp_context=context,
-                initializer=_worker_init,
-            )
-        return self._pool
-
-    def _retire_pool(self, generation: int) -> None:
-        with self._pool_lock:
-            if self._pool_generation != generation or self._pool is None:
-                return  # someone else already rotated it
-            pool, self._pool = self._pool, None
-            self._pool_generation += 1
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def _kill_pool(self, generation: int) -> None:
-        """SIGKILL every worker of the given pool generation and retire
-        it.  The watchdog's hammer: a *hung* worker never returns, so
-        ``shutdown`` would wait on it forever — only the OS can take
-        the CPU back.  In-flight futures resolve as
-        :class:`BrokenProcessPool`, which requeues their jobs from
-        their last checkpoints."""
-        with self._pool_lock:
-            if self._pool_generation != generation or self._pool is None:
-                return  # already rotated; the hang died with it
-            pool, self._pool = self._pool, None
-            self._pool_generation += 1
-        for process in list(getattr(pool, "_processes", {}).values()):
-            try:
-                process.kill()
-            except (OSError, AttributeError):
-                pass
-        pool.shutdown(wait=False, cancel_futures=True)
-
-    def _watchdog_loop(self) -> None:
-        """Detect workers that are alive but never return.
-
-        ``BrokenProcessPool`` only fires when a worker *dies*; a worker
-        spinning or sleeping forever holds its slot silently.  Every
-        dispatched slice carries a wall-clock deadline derived from the
-        slice budget; a slice past its deadline marks the job with a
-        hang strike and SIGKILLs the pool — the resulting broken-pool
-        completion requeues the casualty from its checkpoint (or
-        quarantine-fails it past the strike budget).
-        """
-        assert self.hang_timeout_s is not None
-        interval = max(0.01, self.hang_timeout_s * WATCHDOG_RESOLUTION)
-        while not self._closing:
-            time.sleep(interval)
-            now = time.monotonic()
-            victims: list[tuple[Job, int]] = []
-            with self._lock:
-                for job, deadline, generation in self._active.values():
-                    if now >= deadline and not job._hang_killed:
-                        job._hang_killed = True
-                        job.hang_strikes += 1
-                        victims.append((job, generation))
-            for job, generation in victims:
-                self.stats.hung_restarts += 1
-                job._emit("hung", {"strikes": job.hang_strikes})
-                # Kill outside the state lock: _kill_pool takes the
-                # pool lock, and the dispatcher nests them the other
-                # way around.
-                self._kill_pool(generation)
-
     # -- shutdown ----------------------------------------------------------
     def shutdown(self, wait: bool = True,
                  cancel_pending: bool = True) -> None:
@@ -1113,20 +1097,20 @@ class Scheduler:
 
         Safe against SIGINT/KeyboardInterrupt mid-sweep: pending jobs
         are cancelled (their waiters wake with an error), in-flight
-        slices are allowed to finish their bounded run, and the worker
-        processes are shut down — nothing lingers.
+        slices are allowed to finish their bounded run, and each slot
+        then retires its worker: before this returns, or in the
+        background with ``wait=False``.  Nothing lingers.
         """
         self._closing = True
         self.queue.close()
         if cancel_pending:
             for job in self.queue.drain():
                 self._cancel(job)
-        if self._dispatcher is not None:
-            self._dispatcher.join(timeout=30.0)
-        with self._pool_lock:
-            pool, self._pool = self._pool, None
-        if pool is not None:
-            pool.shutdown(wait=wait, cancel_futures=True)
+        if wait:
+            # Each slot thread finishes its in-flight slice, then
+            # retires its worker on the way out.
+            for thread in self._threads:
+                thread.join()
 
     def __enter__(self) -> "Scheduler":
         return self

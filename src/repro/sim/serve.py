@@ -174,9 +174,11 @@ class ServeDaemon:
         server = await asyncio.start_unix_server(
             self._handle, path=str(self.socket_path)
         )
-        # Fork-context workers must not inherit the daemon's sockets:
-        # a worker's copy would keep connections half-alive after a
-        # ``kill -9``, hiding the EOF clients reconnect on.
+        # Pool workers fork lazily, after this, and must not keep the
+        # daemon's sockets: a worker's copy would keep connections
+        # half-alive after a ``kill -9``, hiding the EOF clients
+        # reconnect on.  Each worker closes every registered fd (the
+        # pool registers its own pipe ends the same way) as it starts.
         for sock in server.sockets:
             close_fd_in_workers(sock.fileno())
         self.started.set()

@@ -1,9 +1,9 @@
-"""The compiled execution tiers: partitioning, four-way tier
+"""The compiled execution tiers: partitioning, three-way tier
 equivalence, memoized CDP dispatch invalidation, trace compilation,
 mapping guards and the shared code cache, and cross-tier checkpoints.
 
-The contract under test is strong: ``jit``, ``block``, ``closure`` and
-``step`` are *bit-identical* — same cycles, same retired counts, same
+The contract under test is strong: ``jit``, ``block`` and ``step`` are
+*bit-identical* — same cycles, same retired counts, same
 events, same trace counters, same final memory — on every program and
 every burst schedule, including under an active fault plan.
 """
@@ -24,7 +24,7 @@ from repro.cpu.blocks import block_leaders, fusible_runs
 from repro.cpu.core import CPU, CPUState
 from repro.cpu.isa import CODE_BASE, Instruction, Op, code_address
 from repro.cpu.memory import Memory
-from repro.errors import MemoryFault
+from repro.errors import ConfigurationError, MemoryFault
 from repro.faults import FaultPlan
 from repro.machine import Machine
 from repro.sim.experiment import (
@@ -234,7 +234,7 @@ class TestPartitioning:
 
 
 # ---------------------------------------------------------------------------
-# four-way equivalence
+# three-way equivalence
 
 
 class TestTierEquivalence:
@@ -486,13 +486,12 @@ class TestCrossTierSnapshots:
     @pytest.mark.parametrize(
         "first,second",
         [
-            ("block", "closure"),
-            ("closure", "block"),
+            ("step", "block"),
             ("block", "step"),
             ("jit", "block"),
             ("block", "jit"),
             ("jit", "step"),
-            ("closure", "jit"),
+            ("step", "jit"),
         ],
     )
     def test_snapshot_round_trip_switches_tier(self, first, second):
@@ -586,7 +585,7 @@ class TestTraceCompiler:
         mapping guard miss; since the tuple now resolves in the software
         TLB the trace must evict itself instead of side-exiting forever
         (and must never replay 7 + 5 where 7 * 5 is now expected).  All
-        four tiers agree on the final state either way."""
+        three tiers agree on the final state either way."""
         soft_address = assemble(REMAP_LOOP).label_address("soft")
         states = {}
         managers = {}
@@ -789,6 +788,13 @@ class TestMachineTierEquivalence:
         assert outcome_bytes(spec) == cold
         assert len(cold_code_cache) == compiles
 
+    def test_closure_tier_is_not_selectable(self, monkeypatch):
+        """Per-instruction closures survive only as the block tier's
+        fallback; naming them as a tier is a configuration error."""
+        monkeypatch.setenv("REPRO_EXEC_TIER", "closure")
+        with pytest.raises(ConfigurationError, match="closure"):
+            MachineConfig()
+
     def test_spec_key_ignores_exec_tier(self, monkeypatch):
         keys = set()
         for tier in EXEC_TIERS:
@@ -799,11 +805,11 @@ class TestMachineTierEquivalence:
     @pytest.mark.parametrize(
         "first,second",
         [
-            ("block", "closure"),
-            ("closure", "block"),
+            ("block", "step"),
+            ("step", "block"),
             ("jit", "block"),
             ("block", "jit"),
-            ("jit", "closure"),
+            ("jit", "step"),
         ],
     )
     def test_mid_run_checkpoint_crosses_tiers(self, first, second,

@@ -137,6 +137,78 @@ class TestHungWorkerWatchdog:
         assert scheduler.stats.hung_restarts == 1
         assert job.hang_strikes == 1
 
+    def test_hung_worker_spares_its_bystander(self, tmp_path, monkeypatch):
+        """The watchdog kills only the hung worker: a slice in flight on
+        the other worker when the deadline fires finishes undisturbed."""
+        flag = tmp_path / "hang-once"
+        flag.write_text("")
+        hanger, bystander = spec(instances=1), spec(instances=2)
+        real = jobs.run_experiment_capturing
+
+        def hang_once_or_dawdle(point, **kwargs):
+            if point == hanger:
+                try:
+                    os.unlink(flag)
+                except FileNotFoundError:
+                    return real(point, **kwargs)
+                while True:
+                    time.sleep(3600)
+            time.sleep(0.8)  # still running when the hanger's deadline fires
+            return real(point, **kwargs)
+
+        monkeypatch.setattr(
+            jobs, "run_experiment_capturing", hang_once_or_dawdle
+        )
+        reference = run_experiment(bystander)
+        scheduler = Scheduler(workers=2, hang_timeout_s=1.0)
+        try:
+            hung = scheduler.submit(hanger)
+            time.sleep(0.6)
+            job = scheduler.submit(bystander)
+            outcome = job.result(timeout=60)
+            hung.result(timeout=60)
+        finally:
+            scheduler.shutdown()
+        assert hung.hang_strikes == 1
+        assert job.retries == 0
+        assert job.hang_strikes == 0
+        assert len(job.worker_pids) == 1
+        assert outcome == reference
+
+    def test_fork_while_code_cache_lock_is_held(self):
+        """A slot may fork its worker while another thread (a degraded
+        job running inline, say) holds the trace code cache's lock.  The
+        child must not inherit it held: it would hang at its first
+        cache miss and cost the job a hang strike."""
+        from repro.cpu import traces
+
+        point = spec()
+        reference = run_experiment(point)
+        held, release = threading.Event(), threading.Event()
+
+        def hold():
+            with traces._CODE_CACHE_LOCK:
+                held.set()
+                release.wait(10)
+
+        with traces._CODE_CACHE_LOCK:
+            traces._CODE_CACHE.clear()  # the worker must compile afresh
+        holder = threading.Thread(target=hold)
+        holder.start()
+        held.wait(10)
+        scheduler = Scheduler(workers=1, hang_timeout_s=5.0)
+        try:
+            job = scheduler.submit(point)
+            time.sleep(0.3)  # the slot forks its worker meanwhile
+            release.set()
+            outcome = job.result(timeout=60)
+        finally:
+            release.set()
+            holder.join()
+            scheduler.shutdown()
+        assert job.hang_strikes == 0
+        assert outcome == reference
+
     def test_permanently_hung_job_is_quarantined(
         self, tmp_path, monkeypatch
     ):
@@ -298,7 +370,13 @@ class TestKill9Restart:
                 sock, reconnect=20, backoff_base_s=0.05, backoff_cap_s=0.5
             )
             jobs_ = [client.submit(point) for point in points]
-            time.sleep(0.4)  # let work get in flight
+            # Kill once work is in flight (a checkpoint exists) but far
+            # from done: a fixed sleep can outlast the whole sub-second
+            # workload, leaving nothing to re-attach.
+            deadline = time.monotonic() + 30.0
+            while not any(job.preemptions for job in jobs_):
+                assert time.monotonic() < deadline, "no slice ever ended"
+                time.sleep(0.01)
             proc.kill()  # SIGKILL: no cleanup, no goodbye
             proc.wait(timeout=10)
             proc = start_serve(tmp_path, sock)
@@ -323,6 +401,40 @@ class TestKill9Restart:
                 reap_group(pgid)
         # No daemon or orphaned pool worker of either group survives.
         assert [live_group_members(pgid) for pgid in groups] == [[], []]
+
+
+class TestNoOrphanedWorkers:
+    def test_workers_exit_when_only_the_daemon_is_killed(self, tmp_path):
+        """kill -9 of the daemon pid alone — not its process group —
+        leaves no orphans: each worker sees EOF on its pipe and exits."""
+        sock = tmp_path / "orphans.sock"
+        proc = start_serve(tmp_path, sock)
+        workers: list[int] = []
+        try:
+            await_daemon(sock, proc)
+            client = ServeClient(sock, reconnect=0)
+            try:
+                client.submit(spec(instances=4, quantum_ms=10.0))
+                deadline = time.monotonic() + 30.0
+                while not workers:
+                    assert time.monotonic() < deadline, "no worker started"
+                    workers = client.stats().get("worker_pids", [])
+                    time.sleep(0.05)
+            finally:
+                client.close()
+            proc.kill()
+            proc.wait(timeout=10)
+            deadline = time.monotonic() + 30.0
+            survivors = workers
+            while survivors and time.monotonic() < deadline:
+                survivors = [pid for pid in survivors if alive(pid)]
+                time.sleep(0.05)
+            assert survivors == []
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.wait(timeout=10)
+            reap_group(proc.pid)
 
 
 class TestChaosHarness:

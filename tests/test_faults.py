@@ -190,7 +190,7 @@ class TestInjectedRuns:
     def test_bit_identical_across_exec_tiers(self):
         plan = replace(NOISY, recovery="quarantine", quarantine_strikes=2)
         results = []
-        for tier in ("block", "closure", "step"):
+        for tier in ("jit", "block", "step"):
             spec = fault_spec(plan)
             machine = Machine.from_spec(spec)
             machine.kernel = Porsche(

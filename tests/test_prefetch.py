@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import adder_spec
+from repro.config import EXEC_TIERS
 from repro.errors import PrefetchError
 from repro.kernel.porsche import Porsche
 from repro.kernel.predict import TransferEngine, TransitionModel
@@ -337,7 +338,7 @@ class TestRuntimePrefetch:
 
     def test_outcome_identical_across_tiers(self, monkeypatch):
         outcomes = []
-        for tier in ("step", "closure", "block", "jit"):
+        for tier in EXEC_TIERS:
             monkeypatch.setenv("REPRO_EXEC_TIER", tier)
             outcomes.append(
                 outcome_to_dict(

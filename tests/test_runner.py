@@ -6,6 +6,7 @@ import multiprocessing
 import os
 import pickle
 import signal
+import threading
 import time
 
 import pytest
@@ -124,8 +125,44 @@ class TestWorkerDeath:
         runner = SweepRunner(jobs=2)
         outcomes = runner.run(specs)
         assert outcomes == reference
-        assert runner.stats.worker_retries >= 1
+        # Only the point whose worker dies is charged: one retry per
+        # death until it degrades to in-process execution.
+        assert runner.stats.worker_retries == (
+            jobs_module.MAX_WORKER_RETRIES + 1
+        )
         assert runner.stats.executed == len(specs)
+
+    def test_degraded_job_does_not_stall_dispatch(self, monkeypatch):
+        """A job that used up its worker retries finishes in-process on
+        its own slot's thread; a job submitted meanwhile still runs on
+        the idle worker and finishes first."""
+        doomed, quick = spec(instances=2), spec(instances=1)
+        reference = run_experiment(doomed)
+        real = jobs_module.run_experiment_capturing
+        inline = threading.Event()
+
+        def dies_in_workers(point, **kwargs):
+            if point == doomed:
+                if os.getpid() != _PARENT_PID:
+                    os.kill(os.getpid(), signal.SIGKILL)
+                inline.set()
+                time.sleep(2.0)  # the in-process remainder is slow
+            return real(point, **kwargs)
+
+        # Forked workers inherit the patched module global.
+        monkeypatch.setattr(
+            jobs_module, "run_experiment_capturing", dies_in_workers
+        )
+        with jobs_module.Scheduler(workers=2) as scheduler:
+            slow = scheduler.submit(doomed)
+            assert inline.wait(timeout=60)
+            fast = scheduler.submit(quick)
+            fast.result(timeout=60)
+            assert not slow.done()
+            assert slow.result(timeout=60) == reference
+        assert slow.retries == jobs_module.MAX_WORKER_RETRIES + 1
+        assert fast.retries == 0
+        assert fast.worker_pids and _PARENT_PID not in fast.worker_pids
 
 
 def _slow_execute_slice(payload):

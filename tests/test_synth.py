@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.apps.hashmix import build_hash_program, hash_mix
-from repro.config import MachineConfig
+from repro.config import EXEC_TIERS, MachineConfig
 from repro.errors import SynthesisError
 from repro.fabric.validate import SecurityPolicy, validate_bitstream
 from repro.machine import Machine
@@ -160,7 +160,7 @@ class TestRuntimeAdoption:
 
     def test_outcome_identical_across_tiers(self, monkeypatch):
         outcomes = []
-        for tier in ("step", "closure", "block", "jit"):
+        for tier in EXEC_TIERS:
             monkeypatch.setenv("REPRO_EXEC_TIER", tier)
             outcomes.append(
                 outcome_to_dict(run_experiment(_spec(), verify=True))
