@@ -2,15 +2,14 @@
 
 The tiered interpreter (``MachineConfig.exec_tier``) trades compile
 effort for simulation throughput: ``step`` re-decodes every instruction,
-``block`` fuses straight-line runs into superinstructions and memoizes
-CDP dispatch, and ``jit`` trace-compiles hot loops into generated
-straight-line Python with registers as locals.  All three are
-bit-identical (asserted in tests/test_blocks.py).  The bench also runs
-``closure``: one closure per instruction from
-:func:`repro.cpu.translate.translate`, the block tier's unfused
-fallback.  It is no longer a selectable tier, but it is the baseline
-the fusing tiers must beat.  This bench records how much wall-clock
-each buys on three kernels:
+``block`` fuses straight-line runs into superinstructions, and ``jit``
+trace-compiles hot loops into generated straight-line Python with
+registers as locals.  All three are bit-identical (asserted in
+tests/test_blocks.py).  The bench also runs ``closure``: one closure per
+instruction from :func:`repro.cpu.translate.translate`, the block tier's
+unfused fallback.  It is no longer a selectable tier, but it is the
+baseline the fusing tiers must beat.  This bench records how much
+wall-clock each buys on three kernels:
 
 * ``alu_hot``    — long unrolled straight-line runs (the compiled
   tiers' best case: the jit executes the whole loop body as one
@@ -19,8 +18,8 @@ each buys on three kernels:
 * ``branch_hot`` — a tight 7-instruction loop (short runs; the block
   tier still pays two dispatches per iteration, the jit pays none);
 * ``cdp_hot``    — custom-instruction dispatch in steady state (fusion
-  never applies across CDP; the win comes from memoized dispatch,
-  which the jit replays inline behind a generation guard).
+  never applies across CDP; each compiled CDP matches its tuple in the
+  dispatch TLBs' CAMs, which the jit inlines behind a mapping guard).
 
 Record the trajectory with::
 

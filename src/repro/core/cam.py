@@ -22,8 +22,8 @@ class CAM(Generic[K]):
     """Fixed-capacity associative key store with explicit entry indices."""
 
     entries: int
+    #: Entry -> key; ``None`` marks an invalid entry.
     _keys: list[K | None] = field(default_factory=list)
-    _valid: list[bool] = field(default_factory=list)
     _index: dict[K, int] = field(default_factory=dict)
 
     def __post_init__(self) -> None:
@@ -31,14 +31,10 @@ class CAM(Generic[K]):
             raise TLBError("CAM needs at least one entry")
         if not self._keys:
             self._keys = [None] * self.entries
-            self._valid = [False] * self.entries
-
-    def __len__(self) -> int:
-        return self.entries
 
     @property
     def occupied(self) -> int:
-        return sum(self._valid)
+        return len(self._index)
 
     def match(self, key: K) -> int | None:
         """Return the entry index holding ``key``, or ``None``."""
@@ -59,17 +55,14 @@ class CAM(Generic[K]):
             )
         self.invalidate_entry(entry)
         self._keys[entry] = key
-        self._valid[entry] = True
         self._index[key] = entry
 
     def invalidate_entry(self, entry: int) -> None:
         self._check_entry(entry)
-        if self._valid[entry]:
-            old = self._keys[entry]
-            self._valid[entry] = False
+        old = self._keys[entry]
+        if old is not None:
             self._keys[entry] = None
-            if old is not None:
-                self._index.pop(old, None)
+            del self._index[old]
 
     def invalidate_key(self, key: K) -> bool:
         """Invalidate the entry holding ``key``; True if one existed."""
@@ -81,15 +74,15 @@ class CAM(Generic[K]):
 
     def key_at(self, entry: int) -> K | None:
         self._check_entry(entry)
-        return self._keys[entry] if self._valid[entry] else None
+        return self._keys[entry]
 
     def valid_entries(self) -> list[int]:
-        return [i for i in range(self.entries) if self._valid[i]]
+        return [i for i, key in enumerate(self._keys) if key is not None]
 
     def free_entry(self) -> int | None:
         """Lowest invalid entry index, or ``None`` if the CAM is full."""
-        for i in range(self.entries):
-            if not self._valid[i]:
+        for i, key in enumerate(self._keys):
+            if key is None:
                 return i
         return None
 
@@ -103,8 +96,7 @@ class CAM(Generic[K]):
         return {
             "entries": self.entries,
             "keys": [
-                list(self._keys[i]) if self._valid[i] else None
-                for i in range(self.entries)
+                None if key is None else list(key) for key in self._keys
             ],
         }
 
@@ -113,12 +105,10 @@ class CAM(Generic[K]):
         if state["entries"] != self.entries:
             raise TLBError("CAM snapshot does not match geometry")
         self._keys = [None] * self.entries
-        self._valid = [False] * self.entries
         self._index = {}
         for entry, fields in enumerate(state["keys"]):
             if fields is None:
                 continue
             key = make_key(fields)
             self._keys[entry] = key
-            self._valid[entry] = True
             self._index[key] = entry

@@ -101,12 +101,6 @@ class DispatchUnit:
     software_tlb: DispatchTLB
     #: Event bus that receives one ``DispatchResolved`` per resolution.
     trace: TraceBus = field(default_factory=TraceBus)
-    #: Monotonic mutation counter bumped by every OS-side management call
-    #: (map/unmap/flush) and by :meth:`restore`.  A CDP site may cache its
-    #: last resolution against this value: equal generation ⇒ no mapping
-    #: for *any* tuple has changed since, so the cached result still
-    #: holds.  Transient — never serialised into checkpoints.
-    generation: int = 0
 
     @classmethod
     def build(
@@ -146,40 +140,31 @@ class DispatchUnit:
         A tuple cannot be live in both TLBs at once — hardware resolution
         has priority, so a stale software mapping is removed first.
         """
-        self.generation += 1
         self.software_tlb.remove(key)
         return self.hardware_tlb.insert(key, pfu_index)
 
     def map_software(self, key: IDTuple, address: int) -> IDTuple | None:
         """Install a (PID, CID) → software-address mapping."""
-        self.generation += 1
         self.hardware_tlb.remove(key)
         return self.software_tlb.insert(key, address)
 
     def unmap(self, key: IDTuple) -> None:
-        self.generation += 1
         self.hardware_tlb.remove(key)
         self.software_tlb.remove(key)
 
     def unmap_pid(self, pid: int) -> int:
         """Drop all of a process's mappings (process exit)."""
-        self.generation += 1
         return self.hardware_tlb.remove_pid(pid) + self.software_tlb.remove_pid(
             pid
         )
 
     def unmap_pfu(self, pfu_index: int) -> int:
         """Drop every tuple naming ``pfu_index`` (circuit evicted)."""
-        self.generation += 1
         return self.hardware_tlb.remove_value(pfu_index)
 
     def flush(self) -> int:
         """Flush both TLBs — only the PRISC baseline ever calls this."""
-        self.generation += 1
         return self.hardware_tlb.flush() + self.software_tlb.flush()
-
-    def tuples_for_pfu(self, pfu_index: int) -> list[IDTuple]:
-        return self.hardware_tlb.keys_for_value(pfu_index)
 
     # ---- machine-state protocol -------------------------------------------
     def snapshot(self) -> dict:
@@ -189,8 +174,5 @@ class DispatchUnit:
         }
 
     def restore(self, state: dict) -> None:
-        # Restoring rewrites the mapping set wholesale; memoized CDP
-        # sites that survive an in-place restore must re-resolve.
-        self.generation += 1
         self.hardware_tlb.restore(state["hardware_tlb"])
         self.software_tlb.restore(state["software_tlb"])

@@ -17,7 +17,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
-from ..errors import TLBError
 from .cam import CAM
 
 
@@ -42,16 +41,6 @@ class DispatchTLB:
     cam: CAM[IDTuple] = field(init=False)
     ram: list[int] = field(init=False)
     _fifo_hand: int = 0
-    #: Statistics for the evaluation harness.
-    lookups: int = 0
-    hits: int = 0
-    insertions: int = 0
-    evictions: int = 0
-    #: Monotonic mutation counter: bumped whenever the set of live
-    #: mappings may have changed (insert/remove/flush/restore).  Memoized
-    #: dispatch sites compare generations instead of re-walking the CAM;
-    #: the counter is transient and deliberately absent from snapshots.
-    generation: int = 0
 
     def __post_init__(self) -> None:
         self.cam = CAM(entries=self.entries)
@@ -60,11 +49,9 @@ class DispatchTLB:
     # ---- datapath-side -----------------------------------------------------
     def lookup(self, key: IDTuple) -> int | None:
         """Single-cycle lookup: the RAM word for ``key``, or ``None``."""
-        self.lookups += 1
         entry = self.cam.match(key)
         if entry is None:
             return None
-        self.hits += 1
         return self.ram[entry]
 
     # ---- OS-side -------------------------------------------------------------
@@ -73,8 +60,6 @@ class DispatchTLB:
 
         Re-inserting an existing key simply rewrites its RAM word.
         """
-        self.generation += 1
-        self.insertions += 1
         existing = self.cam.match(key)
         if existing is not None:
             self.ram[existing] = value
@@ -85,20 +70,16 @@ class DispatchTLB:
             entry = self._fifo_hand
             self._fifo_hand = (self._fifo_hand + 1) % self.entries
             evicted = self.cam.key_at(entry)
-            if evicted is not None:
-                self.evictions += 1
         self.cam.write(entry, key)
         self.ram[entry] = value
         return evicted
 
     def remove(self, key: IDTuple) -> bool:
         """Invalidate one mapping; True if it was present."""
-        self.generation += 1
         return self.cam.invalidate_key(key)
 
     def remove_pid(self, pid: int) -> int:
         """Invalidate every mapping belonging to ``pid`` (process exit)."""
-        self.generation += 1
         removed = 0
         for entry in self.cam.valid_entries():
             key = self.cam.key_at(entry)
@@ -113,7 +94,6 @@ class DispatchTLB:
         Used when a circuit is evicted from a PFU: all tuples naming that
         PFU must fault until the CIS reinstalls them.
         """
-        self.generation += 1
         removed = 0
         for entry in self.cam.valid_entries():
             if self.ram[entry] == value:
@@ -123,7 +103,6 @@ class DispatchTLB:
 
     def flush(self) -> int:
         """Invalidate everything (PRISC baseline behaviour, not Proteus)."""
-        self.generation += 1
         removed = 0
         for entry in self.cam.valid_entries():
             self.cam.invalidate_entry(entry)
@@ -136,21 +115,15 @@ class DispatchTLB:
             "cam": self.cam.snapshot(),
             "ram": list(self.ram),
             "fifo_hand": self._fifo_hand,
-            "lookups": self.lookups,
-            "hits": self.hits,
-            "insertions": self.insertions,
-            "evictions": self.evictions,
         }
 
     def restore(self, state: dict) -> None:
-        self.generation += 1
+        # Checkpoints written before the TLB statistics were dropped
+        # still carry "lookups"/"hits"/"insertions"/"evictions"; they
+        # are ignored, so those checkpoints resume unchanged.
         self.cam.restore(state["cam"], lambda fields: IDTuple(*fields))
         self.ram = list(state["ram"])
         self._fifo_hand = state["fifo_hand"]
-        self.lookups = state["lookups"]
-        self.hits = state["hits"]
-        self.insertions = state["insertions"]
-        self.evictions = state["evictions"]
 
     # ---- introspection ----------------------------------------------------
     def contents(self) -> dict[IDTuple, int]:
@@ -161,13 +134,6 @@ class DispatchTLB:
                 out[key] = self.ram[entry]
         return out
 
-    def keys_for_value(self, value: int) -> list[IDTuple]:
-        return [k for k, v in self.contents().items() if v == value]
-
     @property
     def occupied(self) -> int:
         return self.cam.occupied
-
-    @property
-    def hit_rate(self) -> float:
-        return self.hits / self.lookups if self.lookups else 0.0

@@ -42,9 +42,9 @@ components — MCR/MRC/LDO/STO.  A CDP joins a trace only when no fault
 plan is active (a :class:`~repro.cpu.exceptions.FabricFault` raised
 mid-trace would discard committed cycles) and the recorder's
 side-effect-free TLB peek resolves it in hardware; the generated code
-then replays the memoized warm path of :mod:`repro.cpu.translate` —
-TLB statistics, ``dispatch_resolved`` event and all — behind a mapping
-guard.  Everything else (SWI, HALT, BX, software/faulting CDPs,
+then inlines the hardware branch of the :mod:`repro.cpu.translate` CDP
+closure — CAM match, RAM read, ``dispatch_resolved`` event — behind a
+mapping guard.  Everything else (SWI, HALT, BX, software/faulting CDPs,
 translation-time raisers) ends the trace at the preceding instruction.
 
 **Invalidation.**  Generated code depends only on the program image,
@@ -391,10 +391,9 @@ class TraceManager:
         return components, idx, False
 
     def _in_hardware(self, cid: int) -> bool:
-        """Side-effect-free hardware-TLB probe (``CAM.match`` is a pure
-        dict lookup; ``DispatchTLB.lookup`` would bump statistics)."""
-        cam = self.dispatch.hardware_tlb.cam
-        return cam.match(IDTuple(self.pid, cid)) is not None
+        """Side-effect-free hardware-TLB probe."""
+        key = IDTuple(self.pid, cid)
+        return self.dispatch.hardware_tlb.lookup(key) is not None
 
     # ---- code generation ---------------------------------------------------
     def _source(
@@ -535,10 +534,7 @@ class TraceManager:
                     body.append("    return _fb(_b)")
                 else:
                     body += ["    " + line for line in leave]
-                # The memoized warm path of translate.py, unrolled:
-                # hardware probe hit, counters replayed arithmetically.
-                body.append("_hwt.lookups += 1")
-                body.append("_hwt.hits += 1")
+                # The hardware branch of translate.py's CDP closure.
                 body.append(f"_dtr.dispatch_resolved(_pid, {cid}, 'hit')")
                 body.append(
                     f"_o = _exec(_hwt.ram[_s], {instruction.rd}, "

@@ -20,7 +20,7 @@ from typing import Callable
 
 from ..config import MachineConfig
 from ..core.coprocessor import ProteusCoprocessor
-from ..core.dispatch import DispatchKind
+from ..core.tlb import IDTuple
 from ..errors import CPUError
 from .exceptions import CustomInstructionFault, ExitTrap, SyscallTrap
 from .isa import (
@@ -327,60 +327,32 @@ def _translate_one(
         return handler
 
     if op is Op.CDP:
-        # Bind the dispatch unit directly: the coprocessor's ``resolve``
-        # is a pure delegation hop, and CDP decode is the hottest call
-        # site in a burst.  Each site memoizes its last resolution
-        # against the unit's generation counter: equal generation means
-        # no mapping anywhere changed since, so the cached result still
-        # holds and the two TLB probes can be replayed arithmetically.
+        # Figure 1's decode, against the dispatch TLBs themselves: match
+        # the (PID, CID) tuple in the hardware CAM, then the software
+        # CAM, else fault — the same decision and ``dispatch_resolved``
+        # event as :meth:`DispatchUnit.resolve`.  The RAM words are read
+        # through the TLB objects at call time (``DispatchTLB.restore``
+        # replaces ``ram``), and so is the emitter (the bus rebinds it
+        # when event sinks or the prefetch predictor attach).
         dispatch = coprocessor.dispatch
-        resolve = dispatch.resolve
         hw_tlb = dispatch.hardware_tlb
         sw_tlb = dispatch.software_tlb
+        hw_match = hw_tlb.cam.match
+        sw_match = sw_tlb.cam.match
+        key = IDTuple(pid, imm)
         execute = coprocessor.execute
         capture = coprocessor.capture_operands
         issue = config.cdp_issue_cycles
         soft_cost = config.soft_dispatch_branch_cycles
         fault_pc = CODE_BASE + 4 * index
         return_address = CODE_BASE + 4 * (index + 1)
-        _OUTCOMES = {
-            DispatchKind.HARDWARE: "hit",
-            DispatchKind.SOFTWARE: "soft",
-            DispatchKind.FAULT: "fault",
-        }
-        cached_gen = -1  # DispatchUnit generations start at 0
-        cached_resolution = None
-        cached_outcome = ""
 
         def handler(budget: int) -> int:
-            nonlocal cached_gen, cached_resolution, cached_outcome
-            if dispatch.generation == cached_gen:
-                resolution = cached_resolution
-                kind = resolution.kind
-                # Keep the TLB statistics and the dispatch counters
-                # bit-identical with an unmemoized resolution: hardware
-                # probes first, software only probes on a hardware miss.
-                hw_tlb.lookups += 1
-                if kind is DispatchKind.HARDWARE:
-                    hw_tlb.hits += 1
-                else:
-                    sw_tlb.lookups += 1
-                    if kind is DispatchKind.SOFTWARE:
-                        sw_tlb.hits += 1
-                # Emitter looked up at call time: the bus rebinds it when
-                # event sinks attach or detach.
-                dispatch.trace.dispatch_resolved(pid, imm, cached_outcome)
-            else:
-                resolution = resolve(pid, imm)
-                kind = resolution.kind
-                # Read the generation *after* resolving so a concurrent
-                # management call can only force one extra re-resolve.
-                cached_gen = dispatch.generation
-                cached_resolution = resolution
-                cached_outcome = _OUTCOMES[kind]
-            if kind is DispatchKind.HARDWARE:
+            entry = hw_match(key)
+            if entry is not None:
+                dispatch.trace.dispatch_resolved(pid, imm, "hit")
                 outcome = execute(
-                    resolution.pfu_index, rd, rn, rm, max(1, budget - issue)
+                    hw_tlb.ram[entry], rd, rn, rm, max(1, budget - issue)
                 )
                 if outcome.completed:
                     ctx.idx += 1
@@ -388,12 +360,15 @@ def _translate_one(
                 else:
                     ctx.interrupted = True
                 return issue + outcome.cycles
-            if kind is DispatchKind.SOFTWARE:
+            entry = sw_match(key)
+            if entry is not None:
+                dispatch.trace.dispatch_resolved(pid, imm, "soft")
                 capture(rd, rn, rm)
                 regs[14] = return_address
-                ctx.idx = (resolution.address - CODE_BASE) >> 2
+                ctx.idx = (sw_tlb.ram[entry] - CODE_BASE) >> 2
                 ctx.retired += 1
                 return soft_cost
+            dispatch.trace.dispatch_resolved(pid, imm, "fault")
             raise CustomInstructionFault(cid=imm, fault_pc=fault_pc)
 
         return handler

@@ -39,6 +39,7 @@ from .errors import CheckpointError
 from .kernel.porsche import KernelStats, Porsche
 from .kernel.process import Process, ProcessState
 from .kernel.replacement import ReplacementPolicy, make_policy
+from .state import write_atomic
 from .trace.bus import TraceBus
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle broken at runtime
@@ -283,8 +284,8 @@ class Machine:
         }
 
     def save_checkpoint(self, path) -> None:
-        with open(path, "w", encoding="utf-8") as handle:
-            json.dump(self.checkpoint(), handle)
+        checkpoint = self.checkpoint()
+        write_atomic(path, lambda handle: json.dump(checkpoint, handle))
 
     @classmethod
     def resume(cls, checkpoint: dict, sinks: Sequence = ()) -> "Machine":
@@ -294,23 +295,40 @@ class Machine:
         exactly — same programs, same pids — then every component's
         mutable state is restored in place.
         """
-        if checkpoint.get("format") != CHECKPOINT_FORMAT:
+        if (
+            not isinstance(checkpoint, dict)
+            or checkpoint.get("format") != CHECKPOINT_FORMAT
+        ):
             raise CheckpointError("not a repro machine checkpoint")
         if checkpoint.get("version") != CHECKPOINT_VERSION:
             raise CheckpointError(
                 f"checkpoint version {checkpoint.get('version')!r} not "
                 f"supported (expected {CHECKPOINT_VERSION})"
             )
-        spec = _spec_from_dict(checkpoint["spec"])
-        machine = cls.from_spec(spec, sinks=sinks)
+        try:
+            spec_doc, kernel_doc = checkpoint["spec"], checkpoint["kernel"]
+        except KeyError as missing:
+            raise CheckpointError(
+                f"checkpoint has no {missing} section"
+            ) from None
+        machine = cls.from_spec(_spec_from_dict(spec_doc), sinks=sinks)
         machine.spawn_instances()
-        machine.kernel.restore(checkpoint["kernel"])
+        machine.kernel.restore(kernel_doc)
         return machine
 
     @classmethod
     def load_checkpoint(cls, path, sinks: Sequence = ()) -> "Machine":
-        with open(path, "r", encoding="utf-8") as handle:
-            checkpoint = json.load(handle)
+        try:
+            with open(path, "r", encoding="utf-8") as handle:
+                checkpoint = json.load(handle)
+        except OSError as error:
+            raise CheckpointError(
+                f"cannot read checkpoint {path}: {error.strerror}"
+            ) from None
+        except ValueError as error:  # truncated, corrupt or not UTF-8
+            raise CheckpointError(
+                f"{path} is not a checkpoint document: {error}"
+            ) from None
         return cls.resume(checkpoint, sinks=sinks)
 
     # ------------------------------------------------------------------

@@ -48,7 +48,7 @@ import time
 from dataclasses import fields, replace
 
 from ..apps.registry import WORKLOADS
-from ..errors import ExperimentError
+from ..errors import CheckpointError, ExperimentError
 from ..kernel.replacement import POLICY_NAMES
 from ..machine import Machine
 from ..prefetch import PrefetchPlan
@@ -699,13 +699,18 @@ def _cmd_checkpoint(args) -> int | None:
     return None
 
 
-def _cmd_resume(args) -> None:
-    machine = Machine.load_checkpoint(args.checkpoint)
+def _cmd_resume(args) -> int | None:
+    try:
+        machine = Machine.load_checkpoint(args.checkpoint)
+    except CheckpointError as error:
+        print(f"error: {error}", file=sys.stderr)
+        return 1
     resumed_from = machine.clock
     machine.run()
     outcome = machine.outcome(verify=args.verify)
     print(f"resumed from  : {resumed_from:,} cycles")
     _print_outcome(outcome)
+    return None
 
 
 def _cmd_inject(args) -> None:

@@ -48,10 +48,11 @@ from __future__ import annotations
 import json
 import os
 import sys
-import tempfile
 import threading
 import zlib
 from pathlib import Path
+
+from ..state import write_atomic
 
 __all__ = [
     "JOURNAL_NAME",
@@ -169,17 +170,7 @@ class Journal:
         path = directory / f"{job_key}.json"
         try:
             directory.mkdir(parents=True, exist_ok=True)
-            fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
-            try:
-                with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                    json.dump(checkpoint, handle)
-                os.replace(tmp, path)
-            except BaseException:
-                try:
-                    os.unlink(tmp)
-                except OSError:
-                    pass
-                raise
+            write_atomic(path, lambda handle: json.dump(checkpoint, handle))
         except OSError as error:
             self._warn_degraded(error)
             return None

@@ -45,7 +45,6 @@ import pickle
 import queue as _queue
 import re
 import sys
-import tempfile
 import time
 from dataclasses import dataclass
 from hashlib import sha256
@@ -54,6 +53,7 @@ from typing import Callable, Sequence
 
 from ..errors import DaemonLostError, ExperimentError
 from ..machine import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
+from ..state import write_atomic
 from .experiment import ExperimentSpec, RunOutcome
 from .jobs import DEFAULT_TENANT, Job, JobState, Scheduler
 
@@ -248,17 +248,13 @@ class ResultCache:
         # Atomic publish: never leave a truncated pickle for a
         # concurrent reader (or an interrupted run) to trip over — and
         # two tenants racing on the same key both land a whole object.
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "wb") as handle:
-                pickle.dump(outcome, handle, protocol=pickle.HIGHEST_PROTOCOL)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(
+            path,
+            lambda handle: pickle.dump(
+                outcome, handle, protocol=pickle.HIGHEST_PROTOCOL
+            ),
+            binary=True,
+        )
         self._touch_ref(key)
 
     # -- accounting / maintenance -----------------------------------------
@@ -380,17 +376,7 @@ class CheckpointStore:
     def store(self, spec: ExperimentSpec, checkpoint: dict) -> None:
         path = self.path(self.key(spec))
         path.parent.mkdir(parents=True, exist_ok=True)
-        fd, tmp = tempfile.mkstemp(dir=path.parent, suffix=".tmp")
-        try:
-            with os.fdopen(fd, "w", encoding="utf-8") as handle:
-                json.dump(checkpoint, handle)
-            os.replace(tmp, path)
-        except BaseException:
-            try:
-                os.unlink(tmp)
-            except OSError:
-                pass
-            raise
+        write_atomic(path, lambda handle: json.dump(checkpoint, handle))
 
     def stats(self) -> dict:
         entries, total = _tree_stats(self.root, ".json")

@@ -29,10 +29,13 @@ checkpointed at any quantum boundary and resumed deterministically.
 from __future__ import annotations
 
 import base64
+import os
+import tempfile
 import zlib
-from typing import Any, Protocol, runtime_checkable
+from pathlib import Path
+from typing import IO, Any, Callable, Protocol, runtime_checkable
 
-__all__ = ["Snapshotable", "encode_bytes", "decode_bytes"]
+__all__ = ["Snapshotable", "encode_bytes", "decode_bytes", "write_atomic"]
 
 
 @runtime_checkable
@@ -60,3 +63,30 @@ def encode_bytes(data: bytes) -> str:
 def decode_bytes(text: str) -> bytes:
     """Inverse of :func:`encode_bytes`."""
     return zlib.decompress(base64.b64decode(text.encode("ascii")))
+
+
+def write_atomic(
+    path, dump: Callable[[IO], None], binary: bool = False
+) -> None:
+    """Publish ``path`` whole or not at all.
+
+    ``dump`` fills a temporary file in the same directory, which then
+    replaces ``path`` in one rename: a concurrent reader or an
+    interrupted writer never sees a truncated file.  On any failure the
+    temporary file is removed and the error propagates.
+    """
+    fd, tmp = tempfile.mkstemp(dir=Path(path).parent, suffix=".tmp")
+    try:
+        if binary:
+            handle = os.fdopen(fd, "wb")
+        else:
+            handle = os.fdopen(fd, "w", encoding="utf-8")
+        with handle:
+            dump(handle)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise

@@ -1,5 +1,5 @@
 """The compiled execution tiers: partitioning, three-way tier
-equivalence, memoized CDP dispatch invalidation, trace compilation,
+equivalence, CDP dispatch under mapping changes, trace compilation,
 mapping guards and the shared code cache, and cross-tier checkpoints.
 
 The contract under test is strong: ``jit``, ``block`` and ``step`` are
@@ -16,7 +16,9 @@ from hypothesis import strategies as st
 
 from conftest import adder_spec
 from repro.config import EXEC_TIERS, MachineConfig
+from repro.core.circuit import CircuitSpec, FunctionBehaviour
 from repro.core.coprocessor import ProteusCoprocessor
+from repro.core.dispatch import DispatchKind
 from repro.core.tlb import IDTuple
 from repro.cpu.assembler import assemble
 from repro.cpu import traces
@@ -46,8 +48,9 @@ def make_cpu(
     with_circuit: bool = False,
     software_label: str | None = None,
     pid: int = 1,
+    **config_fields,
 ):
-    config = MachineConfig(cycles_per_ms=1000, exec_tier=tier)
+    config = MachineConfig(cycles_per_ms=1000, exec_tier=tier, **config_fields)
     program = assemble(source)
     memory = Memory(size=16 * 1024)
     memory.write_block(program.data_base, program.data)
@@ -97,8 +100,7 @@ def tier_state(cpu: CPU) -> dict:
         "retired": cpu.state.instructions_retired,
         "memory": cpu.state.memory.read_block(0x1000, 512),
         "dispatch_counts": dict(dispatch.trace.counters.dispatch),
-        "hw_tlb": (dispatch.hardware_tlb.lookups, dispatch.hardware_tlb.hits),
-        "sw_tlb": (dispatch.software_tlb.lookups, dispatch.software_tlb.hits),
+        "tlbs": dispatch.snapshot(),
     }
 
 
@@ -377,37 +379,86 @@ class TestRandomPrograms:
 
 
 # ---------------------------------------------------------------------------
-# memoized CDP dispatch
+# CDP dispatch through the TLBs
+
+
+def subtractor_spec():
+    """A second circuit whose result differs from the adder's and the
+    soft routine's, so a CDP's result names the path that served it."""
+    return CircuitSpec(
+        name="subtractor",
+        behaviour=FunctionBehaviour(
+            fn=lambda a, b, state: (a - b) & 0xFFFFFFFF, fixed_latency=3
+        ),
+        clb_count=100,
+    )
+
+
+#: One mapping change between bursts: (action, argument).
+DISPATCH_ACTIONS = st.one_of(
+    st.tuples(st.just("map_hardware"), st.integers(0, 1)),
+    st.tuples(st.just("map_software"), st.just(0)),
+    st.tuples(st.just("unmap"), st.just(0)),
+    st.tuples(st.just("unmap_pfu"), st.integers(0, 1)),
+    st.tuples(st.just("restore"), st.integers(0, 15)),
+    # Another process's tuple: pushes (1, 1) out of the 2-entry TLB.
+    st.tuples(st.just("map_other"), st.integers(1, 3)),
+)
+
+
+def run_dispatch_schedule(tier: str, schedule) -> tuple[list, dict]:
+    """Bursts of REMAP_LOOP with a mapping change before each one; the
+    tuple (1, 1) may name the adder (PFU 0), the subtractor (PFU 1),
+    the soft routine, or nothing."""
+    cpu = make_cpu(REMAP_LOOP, tier, with_circuit=True, tlb_entries=2)
+    cpu.coprocessor.load_circuit(1, subtractor_spec().instantiate(1, CONFIG))
+    dispatch = cpu.coprocessor.dispatch
+    soft_address = assemble(REMAP_LOOP).label_address("soft")
+    snapshots = [dispatch.snapshot()]
+    log = []
+    for (action, argument), budget in schedule:
+        if action == "map_hardware":
+            dispatch.map_hardware(IDTuple(1, 1), argument)
+        elif action == "map_software":
+            dispatch.map_software(IDTuple(1, 1), soft_address)
+        elif action == "unmap":
+            dispatch.unmap(IDTuple(1, 1))
+        elif action == "unmap_pfu":
+            dispatch.unmap_pfu(argument)
+        elif action == "restore":
+            dispatch.restore(snapshots[argument % len(snapshots)])
+        else:
+            dispatch.map_hardware(IDTuple(2, argument), 0)
+        snapshots.append(dispatch.snapshot())
+        log += burst_log(cpu, [budget])
+        if cpu.state.halted:
+            break
+    # Drain: the soft routine always resolves, so the loop finishes.
+    dispatch.map_software(IDTuple(1, 1), soft_address)
+    while not cpu.state.halted:
+        log += burst_log(cpu, [1 << 20])
+    return log, tier_state(cpu)
 
 
 class TestDispatchMemoization:
-    def test_steady_state_resolves_once(self):
-        """With no mapping changes, the site re-resolves exactly once;
-        the trace counters still record every resolution."""
-        cpu = make_cpu(CDP_LOOP, "block", with_circuit=True)
-        dispatch = cpu.coprocessor.dispatch
-        calls = 0
-        true_resolve = dispatch.resolve
+    """Compiled CDP sites read the dispatch TLBs on every execution, so
+    any mapping change or restore is seen at once, in every tier."""
 
-        def counting_resolve(pid, cid):
-            nonlocal calls
-            calls += 1
-            return true_resolve(pid, cid)
-
-        dispatch.resolve = counting_resolve
-        while not cpu.state.halted:
-            cpu.run(1 << 20)
-        assert calls == 1
-        assert dispatch.trace.counters.dispatch["hit"] == 8
-        assert dispatch.hardware_tlb.lookups == 8
-        assert dispatch.hardware_tlb.hits == 8
+    def test_steady_state_counts_every_resolution(self):
+        """The trace counters record every resolution of a hot site."""
+        for tier in COMPILED_TIERS:
+            cpu = make_cpu(CDP_LOOP, tier, with_circuit=True)
+            dispatch = cpu.coprocessor.dispatch
+            while not cpu.state.halted:
+                cpu.run(1 << 20)
+            assert dispatch.trace.counters.dispatch["hit"] == 8, tier
+            assert dispatch.resolutions[DispatchKind.HARDWARE] == 8, tier
 
     def test_remap_between_hardware_software_fault(self):
         """The acceptance scenario: the *same* CDP site is re-executed
         after its CID is remapped hardware → software → unmapped
-        mid-run.  Each management call bumps the generation counter, so
-        the warm memo must be dropped and the new resolution observed —
-        a stale cache would compute 7 + 5 where 7 * 5 is expected."""
+        mid-run, and must observe each new mapping — a stale resolution
+        would compute 7 + 5 where 7 * 5 is expected."""
         source = """
         main:
             MOV r0, #7
@@ -434,15 +485,6 @@ class TestDispatchMemoization:
             cpu = make_cpu(source, tier, with_circuit=True)
             dispatch = cpu.coprocessor.dispatch
             soft_address = assemble(source).label_address("soft")
-            resolves = 0
-            true_resolve = dispatch.resolve
-
-            def counting_resolve(pid, cid, _inner=true_resolve):
-                nonlocal resolves
-                resolves += 1
-                return _inner(pid, cid)
-
-            dispatch.resolve = counting_resolve
 
             result = cpu.run(1 << 20)  # iteration 1: hardware
             assert type(result.event).__name__ == "SyscallTrap"
@@ -457,25 +499,55 @@ class TestDispatchMemoization:
             result = cpu.run(1 << 20)  # iteration 3: same site, fault
             assert type(result.event).__name__ == "CustomInstructionFault"
 
-            # One real resolution per phase — the memo was dropped on
-            # each remap and reused within each phase.
-            assert resolves == 3, tier
             counts = dispatch.trace.counters.dispatch
             assert counts == {"hit": 1, "soft": 1, "fault": 1}, tier
-            assert dispatch.hardware_tlb.lookups == 3
-            assert dispatch.hardware_tlb.hits == 1
-            assert dispatch.software_tlb.lookups == 2
-            assert dispatch.software_tlb.hits == 1
 
-    def test_tlb_restore_invalidates_memo(self):
-        """An in-place restore rewrites the mapping set wholesale; a
-        memoized site must re-resolve rather than serve a stale hit."""
-        cpu = make_cpu(CDP_LOOP, "block", with_circuit=True)
-        dispatch = cpu.coprocessor.dispatch
-        cpu.run(50)  # resolve + memoize at least one CDP
-        generation = dispatch.generation
-        dispatch.restore(dispatch.snapshot())
-        assert dispatch.generation > generation
+    def test_tlb_restore_remaps_compiled_site(self):
+        """``DispatchUnit.restore`` replaces the TLBs' RAM lists and CAM
+        indices wholesale.  A compiled site must read the restored
+        mapping set — here the tuple moves from the adder to the
+        subtractor in another PFU, then to nothing — not the one it
+        executed against before."""
+        for tier in EXEC_TIERS:
+            cpu = make_cpu(REMAP_LOOP, tier, with_circuit=True)
+            cpu.coprocessor.load_circuit(
+                1, subtractor_spec().instantiate(1, CONFIG)
+            )
+            dispatch = cpu.coprocessor.dispatch
+            adder_mapping = dispatch.snapshot()
+            dispatch.map_hardware(IDTuple(1, 1), 1)
+            subtractor_mapping = dispatch.snapshot()
+            dispatch.unmap(IDTuple(1, 1))
+            no_mapping = dispatch.snapshot()
+
+            dispatch.restore(adder_mapping)
+            cpu.run(70)  # hot: the jit has a trace through the CDP
+            assert cpu.state.regs[2] == 12, tier  # 7 + 5
+            if tier == "jit":
+                assert cpu._ops.manager.installs >= 1
+            dispatch.restore(subtractor_mapping)
+            cpu.run(30)
+            assert cpu.state.regs[2] == 2, tier  # 7 - 5
+            dispatch.restore(no_mapping)
+            result = cpu.run(1 << 20)
+            assert type(result.event).__name__ == "CustomInstructionFault"
+            assert dispatch.trace.counters.dispatch["fault"] == 1, tier
+
+    @given(
+        schedule=st.lists(
+            st.tuples(DISPATCH_ACTIONS, st.integers(1, 120)),
+            min_size=1,
+            max_size=12,
+        )
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_generated_mapping_schedules_agree_across_tiers(self, schedule):
+        """Any schedule of map/unmap/evict/restore between bursts gives
+        identical registers, events and dispatch counters in every
+        tier."""
+        reference = run_dispatch_schedule("step", schedule)
+        for tier in COMPILED_TIERS:
+            assert run_dispatch_schedule(tier, schedule) == reference, tier
 
 
 # ---------------------------------------------------------------------------

@@ -139,13 +139,19 @@ class TestHungWorkerWatchdog:
 
     def test_hung_worker_spares_its_bystander(self, tmp_path, monkeypatch):
         """The watchdog kills only the hung worker: a slice in flight on
-        the other worker when the deadline fires finishes undisturbed."""
+        the other worker when the deadline fires finishes undisturbed.
+
+        Ordered by flag files, not sleeps: the bystander is submitted
+        once the hanger has removed its flag (it is in flight), and it
+        waits in its worker for ``released``, which the test writes once
+        the watchdog has restarted the hanger's worker."""
         flag = tmp_path / "hang-once"
         flag.write_text("")
+        released = tmp_path / "released"
         hanger, bystander = spec(instances=1), spec(instances=2)
         real = jobs.run_experiment_capturing
 
-        def hang_once_or_dawdle(point, **kwargs):
+        def hang_once_or_wait(point, **kwargs):
             if point == hanger:
                 try:
                     os.unlink(flag)
@@ -153,18 +159,32 @@ class TestHungWorkerWatchdog:
                     return real(point, **kwargs)
                 while True:
                     time.sleep(3600)
-            time.sleep(0.8)  # still running when the hanger's deadline fires
+            while not released.exists():  # in flight at the deadline
+                time.sleep(0.01)
             return real(point, **kwargs)
 
+        def wait_until(condition):
+            deadline = time.monotonic() + 60
+            while not condition():
+                assert time.monotonic() < deadline
+                time.sleep(0.01)
+
         monkeypatch.setattr(
-            jobs, "run_experiment_capturing", hang_once_or_dawdle
+            jobs, "run_experiment_capturing", hang_once_or_wait
         )
         reference = run_experiment(bystander)
         scheduler = Scheduler(workers=2, hang_timeout_s=1.0)
         try:
             hung = scheduler.submit(hanger)
-            time.sleep(0.6)
+            wait_until(lambda: not flag.exists())
+            # Slices dispatched from here on (the bystander, the
+            # hanger's retry) get a deadline no host load can reach;
+            # the hanger's own slice keeps its 1 s.
+            scheduler.hang_timeout_s = 60.0
             job = scheduler.submit(bystander)
+            wait_until(lambda: job.state is jobs.JobState.RUNNING)
+            wait_until(lambda: scheduler.stats.hung_restarts == 1)
+            released.write_text("")
             outcome = job.result(timeout=60)
             hung.result(timeout=60)
         finally:

@@ -11,6 +11,12 @@ from repro.kernel.replacement import make_policy
 from repro.sim.experiment import ExperimentSpec, run_experiment
 
 SCALE = 1 / 8000
+
+#: Random replacement may exceed round robin by at most this factor —
+#: the ``RANDOM_SLACK`` of perfbench/checks.py, restated because the
+#: tests do not import the benchmark harness.
+RANDOM_SLACK = 1.05
+
 FAST = MachineConfig(
     cycles_per_ms=1000, quantum_ms=0.5, config_bus_bytes_per_cycle=512
 )
@@ -151,6 +157,19 @@ class TestPaperShapes:
         at_10ms = self.run_series("alpha", [6], 10.0, soft=True)[0]
         at_1ms = self.run_series("alpha", [6], 1.0, soft=True)[0]
         assert abs(at_10ms - at_1ms) / at_10ms < 0.15
+
+    @pytest.mark.parametrize("workload,instances", [("alpha", 5),
+                                                    ("echo", 3)])
+    def test_random_replacement_no_worse_than_round_robin(
+        self, workload, instances
+    ):
+        """§5.1: round robin "generally performs worse than the random
+        policy" — past the knee at 1 ms, random is never worse by more
+        than the benchmark's slack."""
+        round_robin = self.run_series(workload, [instances], 1.0)[0]
+        random = self.run_series(workload, [instances], 1.0,
+                                 policy="random")[0]
+        assert random <= RANDOM_SLACK * round_robin
 
     def test_soft_dispatch_beats_switching_for_echo_at_1ms(self):
         """§5.1.2: for the thrash-prone two-circuit workload at small

@@ -18,7 +18,12 @@ import repro
 from repro import CheckpointError, Machine
 from repro.config import MachineConfig
 from repro.machine import CHECKPOINT_FORMAT, CHECKPOINT_VERSION
-from repro.sim.experiment import ExperimentSpec, run_experiment
+from repro.sim.cli import main
+from repro.sim.experiment import (
+    ExperimentSpec,
+    outcome_to_dict,
+    run_experiment,
+)
 
 SCALE = 1 / 8000
 
@@ -179,7 +184,56 @@ class TestRunCapturing:
         assert machine.finished
 
 
+class TestLegacyCheckpoints:
+    def test_tlb_statistics_in_old_checkpoints_are_ignored(self):
+        """Checkpoints written while the dispatch TLBs kept their own
+        lookup/hit/insertion/eviction counters still resume, to the
+        byte-identical outcome of a straight run."""
+        point = spec(instances=3)
+        reference = run_experiment(point)
+        machine = Machine.from_spec(point)
+        machine.spawn_instances()
+        machine.run_quanta(40)
+        checkpoint = json.loads(json.dumps(machine.checkpoint()))
+        dispatch = checkpoint["kernel"]["coprocessor"]["dispatch"]
+        for tlb in dispatch.values():
+            tlb.update(lookups=811, hits=790, insertions=23, evictions=5)
+        resumed = Machine.resume(checkpoint)
+        resumed.run()
+        assert outcome_to_dict(resumed.outcome()) == outcome_to_dict(
+            reference
+        )
+
+
+#: Checkpoint files ``repro resume`` must refuse with a one-line error.
+BAD_CHECKPOINTS = {
+    "truncated": lambda path: path.write_text(
+        json.dumps({"format": CHECKPOINT_FORMAT, "version": 1})[:25]
+    ),
+    "json-list": lambda path: path.write_text("[1, 2, 3]"),
+    "no-spec": lambda path: path.write_text(
+        json.dumps({"format": CHECKPOINT_FORMAT,
+                    "version": CHECKPOINT_VERSION})
+    ),
+    "missing": lambda path: None,
+}
+
+
 class TestRefusals:
+    @pytest.mark.parametrize("kind", sorted(BAD_CHECKPOINTS))
+    def test_bad_checkpoint_file_is_a_checkpoint_error(
+        self, kind, tmp_path, capsys
+    ):
+        path = tmp_path / "ckpt.json"
+        BAD_CHECKPOINTS[kind](path)
+        with pytest.raises(CheckpointError):
+            Machine.load_checkpoint(path)
+        assert main(["resume", str(path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+
     def test_config_machines_cannot_checkpoint(self):
         machine = Machine.from_config(MachineConfig())
         with pytest.raises(CheckpointError):

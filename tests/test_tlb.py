@@ -35,9 +35,7 @@ class TestBasics:
         tlb = DispatchTLB(entries=4)
         tlb.insert(key(1, 1), 2)
         tlb.insert(key(2, 5), 2)
-        assert tlb.keys_for_value(2) == [key(1, 1), key(2, 5)] or set(
-            tlb.keys_for_value(2)
-        ) == {key(1, 1), key(2, 5)}
+        assert tlb.contents() == {key(1, 1): 2, key(2, 5): 2}
 
     def test_reinsert_updates_value(self):
         tlb = DispatchTLB(entries=4)
@@ -75,10 +73,12 @@ class TestCapacity:
         assert tlb.lookup(key(1, 1)) is None  # mapping fault, PFU 0 intact
 
     def test_eviction_counts(self):
+        """An insert into a full TLB reports the one tuple it pushed
+        out, and only that tuple is gone."""
         tlb = DispatchTLB(entries=1)
-        tlb.insert(key(1, 1), 0)
-        tlb.insert(key(1, 2), 0)
-        assert tlb.evictions == 1
+        assert tlb.insert(key(1, 1), 0) is None
+        assert tlb.insert(key(1, 2), 0) == key(1, 1)
+        assert tlb.contents() == {key(1, 2): 0}
 
 
 class TestBulkInvalidation:
@@ -107,18 +107,27 @@ class TestBulkInvalidation:
         assert tlb.occupied == 0
 
 
-class TestStatistics:
-    def test_hit_rate(self):
-        tlb = DispatchTLB(entries=4)
-        tlb.insert(key(1, 1), 0)
+class TestSnapshot:
+    def test_snapshot_holds_mappings_only(self):
+        """A snapshot is the CAM, the RAM and the FIFO hand; resolution
+        statistics live in the trace bus's CounterSink."""
+        tlb = DispatchTLB(entries=2)
+        tlb.insert(key(1, 1), 3)
         tlb.lookup(key(1, 1))
-        tlb.lookup(key(9, 9))
-        assert tlb.hits == 1
-        assert tlb.lookups == 2
-        assert tlb.hit_rate == 0.5
+        assert set(tlb.snapshot()) == {"cam", "ram", "fifo_hand"}
 
-    def test_hit_rate_empty(self):
-        assert DispatchTLB(entries=4).hit_rate == 0.0
+    def test_restore_ignores_legacy_statistics(self):
+        """Checkpoints written while the TLB kept its own lookup/hit/
+        insertion/eviction counters still restore."""
+        tlb = DispatchTLB(entries=2)
+        tlb.insert(key(1, 1), 3)
+        tlb.insert(key(2, 1), 0)
+        legacy = dict(tlb.snapshot(), lookups=9, hits=7, insertions=2,
+                      evictions=1)
+        restored = DispatchTLB(entries=2)
+        restored.restore(legacy)
+        assert restored.contents() == tlb.contents()
+        assert restored.snapshot() == tlb.snapshot()
 
 
 @given(
